@@ -27,6 +27,8 @@ def _parse_coeff(raw) -> GaussRational:
         return GaussRational(raw)
     if isinstance(raw, list) and len(raw) == 4:
         rn, rd, im_n, im_d = raw
+        if rd == 0 or im_d == 0:
+            raise CliError(f"bad coefficient {raw!r}: zero denominator")
         return GaussRational.from_fractions(Fraction(rn, rd), Fraction(im_n, im_d))
     raise CliError(f"bad coefficient {raw!r}: expected int or [re_n,re_d,im_n,im_d]")
 
@@ -66,6 +68,8 @@ def _report(args, data: dict, plain: str):
 
 def _cmd_count(args):
     if args.multi:
+        if args.m is None:
+            raise CliError("count --multi requires -m")
         ns = [int(x) for x in args.multi.split(",")]
         res = comp.multi_sing_count(len(ns), args.m, ns)
         data = {"brute": res.brute, "formula": res.formula,
@@ -73,6 +77,8 @@ def _cmd_count(args):
         _report(args, data, f"{res.brute} (formula {res.formula}, "
                             f"match={res.matches})")
         return 0 if (res.matches or not args.strict) else 3
+    if args.n is None or args.m is None:
+        raise CliError("count requires -n and -m")
     if args.curve:
         value = comp.curve_count(args.n, args.m)
         _report(args, {"curve_components": value}, str(value))
@@ -272,6 +278,53 @@ def _cmd_verify(args):
     return 0
 
 
+FLAGS = {
+    "-n": dict(type=int, help="number of axes/branches"),
+    "-m": dict(type=int, help="length of the subschemes"),
+    "-k": dict(type=int, default=1, help="number of axes with degree >= 2"),
+    "--mprime": dict(type=int),
+    "--u": dict(type=str, help="comma-separated degree vector"),
+    "--ideal": dict(type=str, help="path to an ideal JSON file"),
+    "--json": dict(action="store_true"),
+    "--strict": dict(action="store_true"),
+    "--out": dict(type=str),
+    "--format": dict(choices=["json", "off", "svg"]),
+    "--field-prime": dict(type=int, choices=[2, 3]),
+    "--seed": dict(type=int, default=0),
+    "--punctual": dict(action="store_true"),
+    "--global": dict(dest="global_", action="store_true"),
+    "--curve": dict(action="store_true"),
+    "--multi": dict(type=str, help="comma-separated branch multiplicities"),
+}
+
+IDEAL_FLAGS = ("--ideal", "--json", "--out")
+
+# verb -> (help, handler, flags it reads, flags it requires)
+VERBS = {
+    "count": ("component counts", _cmd_count,
+              ("-n", "-m", "--multi", "--curve", "--global", "--strict",
+               "--json", "--out", "--punctual"), ()),
+    "components": ("list components", _cmd_components,
+                   ("-n", "-m", "--mprime", "--global", "--json", "--out"),
+                   ("-n", "-m")),
+    "complex": ("export the hypersimplicial complex", _cmd_complex,
+                ("-n", "-m", "--format", "--out"), ("-n", "-m")),
+    "moment": ("moment image of an ideal", _cmd_moment, IDEAL_FLAGS,
+               ("--ideal",)),
+    "tangent": ("tangent dimension of an ideal", _cmd_tangent, IDEAL_FLAGS,
+                ("--ideal",)),
+    "classify": ("singularity and smoothability", _cmd_classify,
+                 IDEAL_FLAGS, ("--ideal",)),
+    "local": ("local models at a vertex ideal", _cmd_local,
+              ("-n", "-k", "--u", "--format", "--json", "--out"), ("-n",)),
+    "verify": ("run the finite-field oracles", _cmd_verify,
+               ("--field-prime", "--seed", "--strict", "--json", "--out"),
+               ()),
+    "plot": ("SVG picture of the complex", _cmd_plot, ("-n", "-m", "--out"),
+             ("-n", "-m")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hilbfold",
@@ -279,69 +332,11 @@ def build_parser():
                     "n-fold singularities: exact counts, classification "
                     "and combinatorial exports.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, need_n=False, need_m=False):
-        p.add_argument("-n", type=int, default=None, required=need_n,
-                       help="number of axes/branches")
-        p.add_argument("-m", type=int, default=None, required=need_m,
-                       help="length of the subschemes")
-        p.add_argument("-k", type=int, default=1,
-                       help="number of axes with degree >= 2")
-        p.add_argument("--mprime", type=int, default=None)
-        p.add_argument("--u", type=str, default=None,
-                       help="comma-separated degree vector")
-        p.add_argument("--ideal", type=str, default=None,
-                       help="path to an ideal JSON file")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=["json", "off", "svg"],
-                       default=None)
-        p.add_argument("--field-prime", type=int, choices=[2, 3],
-                       default=None)
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("count", help="component counts")
-    common(p)
-    p.add_argument("--punctual", action="store_true")
-    p.add_argument("--global", dest="global_", action="store_true")
-    p.add_argument("--curve", action="store_true")
-    p.add_argument("--multi", type=str, default=None,
-                   help="comma-separated branch multiplicities")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("components", help="list components")
-    common(p, need_n=True, need_m=True)
-    p.add_argument("--global", dest="global_", action="store_true")
-    p.set_defaults(func=_cmd_components)
-
-    p = sub.add_parser("complex", help="export the hypersimplicial complex")
-    common(p, need_n=True, need_m=True)
-    p.set_defaults(func=_cmd_complex)
-
-    p = sub.add_parser("moment", help="moment image of an ideal")
-    common(p)
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("tangent", help="tangent dimension of an ideal")
-    common(p)
-    p.set_defaults(func=_cmd_tangent)
-
-    p = sub.add_parser("classify", help="singularity and smoothability")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("local", help="local models at a vertex ideal")
-    common(p, need_n=True)
-    p.set_defaults(func=_cmd_local)
-
-    p = sub.add_parser("verify", help="run the finite-field oracles")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("plot", help="SVG picture of the complex")
-    common(p, need_n=True, need_m=True)
-    p.set_defaults(func=_cmd_plot)
+    for verb, (help_text, handler, flags, required) in VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, required=flag in required, **FLAGS[flag])
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -349,13 +344,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        needs_nm = args.verb in ("count",) and not args.multi
-        if needs_nm and (args.n is None or args.m is None):
-            raise CliError("count requires -n and -m")
-        if args.verb in ("moment", "tangent", "classify") and not args.ideal:
-            raise CliError(f"{args.verb} requires --ideal")
-        if args.verb == "count" and args.multi and args.m is None:
-            raise CliError("count --multi requires -m")
         return args.func(args)
     except (CliError, NotOriginSupported, NotFiniteColength, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,6 +78,8 @@ def punctual_count(n: int, m: int) -> CountComparison:
     """Number of punctual components, with the closed form evaluated for
     comparison.  The n >= m branch is reliable; the other one is not (it
     already fails at (n, m) = (2, 3)), which the comparison records."""
+    if n < 1 or m < 2:
+        raise ValueError("need n >= 1 and m >= 2")
     if n == 1:
         # the punctual locus of a single smooth branch is one point
         return CountComparison(1, Fraction(1), True)
@@ -135,25 +137,23 @@ class GluingGraph:
         return [c for c in self.nodes if c.l == l]
 
 
-def build_gluing_graph(n: int, m: int) -> GluingGraph:
-    nodes = tuple(punctual_components(n, m))
+def _gluing_graph(nodes) -> GluingGraph:
+    nodes = tuple(nodes)
     edges = {}
     for i, j in itertools.combinations(range(len(nodes)), 2):
         desc = intersect_components(nodes[i], nodes[j])
         if desc is not None:
             edges[(i, j)] = desc
     return GluingGraph(nodes, edges)
+
+
+def build_gluing_graph(n: int, m: int) -> GluingGraph:
+    return _gluing_graph(punctual_components(n, m))
 
 
 def restricted_gluing_graph(n: int, m: int, l: int) -> GluingGraph:
     """The subgraph on the components with a fixed row count."""
-    nodes = tuple(c for c in punctual_components(n, m) if c.l == l)
-    edges = {}
-    for i, j in itertools.combinations(range(len(nodes)), 2):
-        desc = intersect_components(nodes[i], nodes[j])
-        if desc is not None:
-            edges[(i, j)] = desc
-    return GluingGraph(nodes, edges)
+    return _gluing_graph(c for c in punctual_components(n, m) if c.l == l)
 
 
 # --------------------------------------------------------------------------

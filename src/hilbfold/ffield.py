@@ -3,9 +3,7 @@
 The set-theoretic primary-decomposition checks walk every point of F_q^V
 (up to 10^7 points) and evaluate a few dozen monomial/binomial generators
 at each.  That loop dominates the package's runtime, so it is vectorised
-with numpy and, when available, compiled with numba; the active path is
-picked automatically and can be forced to the numpy fallback by setting
-HILBFOLD_NO_NUMBA=1.
+with numpy.
 
 A generator is a sequence of (coeff, ((var_index, exponent), ...)) terms;
 the families handled here only ever carry one or two terms with
@@ -14,29 +12,7 @@ coefficients +-1, but the sweep accepts anything integral.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised on stripped installs
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled() -> bool:
-    return _HAVE_NUMBA and os.environ.get("HILBFOLD_NO_NUMBA", "") not in (
-        "1", "true", "yes")
 
 
 class BudgetExceeded(ValueError):
@@ -82,7 +58,9 @@ def iter_point_chunks(nvars, q, chunk=CHUNK):
         start = stop
 
 
-def _vanish_numpy(X, sign, mono, gstart, q):
+def vanishing_mask(X, tables, q):
+    """Boolean mask of the rows of X at which every generator vanishes."""
+    sign, mono, gstart = tables
     npts = X.shape[0]
     ok = np.ones(npts, dtype=bool)
     for g in range(len(gstart) - 1):
@@ -97,34 +75,6 @@ def _vanish_numpy(X, sign, mono, gstart, q):
     return ok
 
 
-@njit(cache=False)
-def _vanish_numba(X, sign, mono, gstart, q):  # pragma: no cover - compiled
-    npts = X.shape[0]
-    out = np.ones(npts, dtype=np.bool_)
-    for p in range(npts):
-        for g in range(len(gstart) - 1):
-            val = 0
-            for t in range(gstart[g], gstart[g + 1]):
-                term = sign[t] % q
-                for v in range(mono.shape[1]):
-                    for _ in range(mono[t, v]):
-                        term = term * X[p, v] % q
-                val = (val + term) % q
-            if val != 0:
-                out[p] = False
-                break
-    return out
-
-
-def vanishing_mask(X, tables, q, use_numba=None):
-    if use_numba is None:
-        use_numba = numba_enabled()
-    sign, mono, gstart = tables
-    if use_numba:
-        return _vanish_numba(X, sign, mono, gstart, q)
-    return _vanish_numpy(X, sign, mono, gstart, q)
-
-
 def _check_budget(nvars, q, budget):
     if q ** nvars > budget:
         raise BudgetExceeded(
@@ -132,7 +82,7 @@ def _check_budget(nvars, q, budget):
 
 
 def union_equals_ideal(ideal_gens, prime_gens_list, nvars, q,
-                       budget=DEFAULT_BUDGET, use_numba=None) -> bool:
+                       budget=DEFAULT_BUDGET) -> bool:
     """Pointwise over F_q^V: the ideal vanishes exactly where at least one
     of the primes vanishes.  Only union equality is required; individual
     containments are not assumed."""
@@ -140,27 +90,26 @@ def union_equals_ideal(ideal_gens, prime_gens_list, nvars, q,
     ideal_tables = compile_tables(ideal_gens, nvars)
     prime_tables = [compile_tables(p, nvars) for p in prime_gens_list]
     for X in iter_point_chunks(nvars, q):
-        lhs = vanishing_mask(X, ideal_tables, q, use_numba)
+        lhs = vanishing_mask(X, ideal_tables, q)
         rhs = np.zeros(X.shape[0], dtype=bool)
         for tab in prime_tables:
-            rhs |= vanishing_mask(X, tab, q, use_numba)
+            rhs |= vanishing_mask(X, tab, q)
         if not np.array_equal(lhs, rhs):
             return False
     return True
 
 
-def count_vanishing(gens, nvars, q, budget=DEFAULT_BUDGET, use_numba=None) -> int:
+def count_vanishing(gens, nvars, q, budget=DEFAULT_BUDGET) -> int:
     _check_budget(nvars, q, budget)
     tables = compile_tables(gens, nvars)
     total = 0
     for X in iter_point_chunks(nvars, q):
-        total += int(vanishing_mask(X, tables, q, use_numba).sum())
+        total += int(vanishing_mask(X, tables, q).sum())
     return total
 
 
 def projection_into_variety(big_gens, big_nvars, small_gens, small_nvars,
-                            var_map, q, budget=DEFAULT_BUDGET,
-                            use_numba=None) -> bool:
+                            var_map, q, budget=DEFAULT_BUDGET) -> bool:
     """Every F_q-point of the big variety must project (via var_map:
     small index -> big index) onto a point of the small one."""
     _check_budget(big_nvars, q, budget)
@@ -168,18 +117,17 @@ def projection_into_variety(big_gens, big_nvars, small_gens, small_nvars,
     small_tables = compile_tables(small_gens, small_nvars)
     cols = np.asarray([var_map[i] for i in range(small_nvars)], dtype=np.int64)
     for X in iter_point_chunks(big_nvars, q):
-        on_big = vanishing_mask(X, big_tables, q, use_numba)
+        on_big = vanishing_mask(X, big_tables, q)
         if not on_big.any():
             continue
         proj = X[on_big][:, cols]
-        if not vanishing_mask(proj, small_tables, q, use_numba).all():
+        if not vanishing_mask(proj, small_tables, q).all():
             return False
     return True
 
 
 def coordinate_subspace_equals_intersection(gens_a, gens_b, nvars, live_vars,
-                                            q, budget=DEFAULT_BUDGET,
-                                            use_numba=None) -> bool:
+                                            q, budget=DEFAULT_BUDGET) -> bool:
     """V(A) intersect V(B) must equal the coordinate subspace where every
     variable outside live_vars vanishes."""
     _check_budget(nvars, q, budget)
@@ -188,8 +136,7 @@ def coordinate_subspace_equals_intersection(gens_a, gens_b, nvars, live_vars,
     dead = np.asarray([v for v in range(nvars) if v not in set(live_vars)],
                       dtype=np.int64)
     for X in iter_point_chunks(nvars, q):
-        on_both = vanishing_mask(X, ta, q, use_numba) & \
-            vanishing_mask(X, tb, q, use_numba)
+        on_both = vanishing_mask(X, ta, q) & vanishing_mask(X, tb, q)
         if dead.size:
             on_subspace = (X[:, dead] == 0).all(axis=1)
         else:

@@ -11,11 +11,11 @@ primary-decomposition engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from math import comb, gcd as _gcd
 
 from . import ffield
+from .exact import ExactMatrix, det, kernel_basis
 from .foldring import component_dimension
 
 
@@ -245,6 +245,8 @@ def _variable_ideal(names, idx, chosen):
 
 def primary_components(n: int, k: int):
     """The prime families whose union is the local model, verbatim."""
+    if not 1 <= k <= n:
+        raise ValueError("k out of range")
     names = reduced_variables(n, k)
     idx = {name: p for p, name in enumerate(names)}
     fams = []
@@ -319,58 +321,26 @@ def local_component_count(n: int, k: int) -> int:
     return expected
 
 
-def punctual_variables(n: int, k: int):
-    return tuple(f"a{i}_{j}" for i in range(1, n + 1)
-                 for j in range(1, k + 1) if i != j)
-
-
 def punctual_local_ring(n: int, k: int, u):
     """Local model of the punctual locus at a vertex ideal: the chain
     products a_{i,j} a_{j,r} vanish, and the prime pieces are labelled by
     the sub-families of axes kept at full degree."""
     u = tuple(u)
+    if not 1 <= k <= n:
+        raise ValueError("k out of range")
     if len(u) != n or any(u[i] < 2 for i in range(k)) or \
             any(u[i] != 1 for i in range(k, n)):
         raise ValueError("degree vector incompatible with k")
-    names = punctual_variables(n, k)
-    idx = {name: p for p, name in enumerate(names)}
-    gens = []
-    for j in range(1, k + 1):
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            for r in range(1, k + 1):
-                if r != j:
-                    gens.append(_gen(_mono(1, (idx[f"a{i}_{j}"], 1),
-                                           (idx[f"a{j}_{r}"], 1))))
-    ideal = PolyIdealGens(names, tuple(gens))
-
+    ideal, pieces = technical_ideal(n, range(1, k + 1))
     m = sum(u) + 1 - n
     primes = []
-    full = tuple(range(1, k + 1))
-    for size in range(0, k):
-        if k == n and size == 0:
-            continue
-        for t_subset in itertools.combinations(full, size):
-            t_set = set(t_subset)
-            chosen = []
-            for r in full:
-                if r in t_set:
-                    continue
-                for s in full:
-                    if s not in t_set and s != r:
-                        chosen.append(f"a{r}_{s}")
-            for j in t_subset:
-                for i in range(1, n + 1):
-                    if i != j:
-                        chosen.append(f"a{i}_{j}")
-            chosen = sorted(set(chosen), key=names.index)
-            degree = tuple(u[i] - (1 if (i + 1) <= k and (i + 1) not in t_set
-                                   else 0) for i in range(n))
-            primes.append(PrimeFamily(
-                "punctual", t_subset,
-                PolyIdealGens(names, _variable_ideal(names, idx, chosen)),
-                sigma_label=(m, n - k + size, degree)))
+    for piece in pieces:
+        t_subset = piece.data[1]
+        degree = tuple(u[i] - (1 if i < k and i + 1 not in t_subset else 0)
+                       for i in range(n))
+        primes.append(replace(
+            piece, kind="punctual", data=t_subset,
+            sigma_label=(m, n - k + len(t_subset), degree)))
     return ideal, primes
 
 
@@ -415,14 +385,13 @@ def technical_ideal(n: int, axes):
 
 
 def verify_decomposition_ff(ideal: PolyIdealGens, primes, q: int,
-                            budget=ffield.DEFAULT_BUDGET,
-                            use_numba=None) -> bool:
+                            budget=ffield.DEFAULT_BUDGET) -> bool:
     """Pointwise over F_q: the ideal vanishes exactly on the union of the
     primes' vanishing loci."""
     prime_gens = [p.gens.generators if isinstance(p, PrimeFamily)
                   else p.generators for p in primes]
     return ffield.union_equals_ideal(ideal.generators, prime_gens,
-                                     ideal.nvars(), q, budget, use_numba)
+                                     ideal.nvars(), q, budget)
 
 
 def pairwise_incomparable(primes) -> bool:
@@ -435,7 +404,7 @@ def pairwise_incomparable(primes) -> bool:
 
 
 def verify_reduction(n: int, k: int, u, q: int,
-                     budget=ffield.DEFAULT_BUDGET, use_numba=None) -> bool:
+                     budget=ffield.DEFAULT_BUDGET) -> bool:
     """The eliminated presentation must match the full deformation ideal
     over F_q: the big variety projects into the small one, and the point
     counts agree up to the free series coefficients."""
@@ -461,12 +430,11 @@ def verify_reduction(n: int, k: int, u, q: int,
         free = sum(u[j] - 2 for j in range(k))
     if not ffield.projection_into_variety(
             big.generators, big.nvars(), small.generators, small.nvars(),
-            mapping, q, budget, use_numba):
+            mapping, q, budget):
         return False
-    big_count = ffield.count_vanishing(big.generators, big.nvars(), q,
-                                       budget, use_numba)
+    big_count = ffield.count_vanishing(big.generators, big.nvars(), q, budget)
     small_count = ffield.count_vanishing(small.generators, small.nvars(), q,
-                                         budget, use_numba)
+                                         budget)
     return big_count == small_count * q ** free
 
 
@@ -532,7 +500,7 @@ def _enumerate_facets(labelled_vertices):
     """Exact facet enumeration: for every hyperplane spanned by vertices,
     keep the ones supporting the polytope on one side."""
     labels = [lbl for lbl, _ in labelled_vertices]
-    pts = [tuple(Fraction(c) for c in coords) for _, coords in labelled_vertices]
+    pts = [coords for _, coords in labelled_vertices]
     dim = len(pts[0])
     facets = set()
     for subset in itertools.combinations(range(len(pts)), dim):
@@ -553,39 +521,12 @@ def _hyperplane_through(pts, subset):
     None when they are affinely dependent."""
     base = pts[subset[0]]
     rows = [[p - b for p, b in zip(pts[i], base)] for i in subset[1:]]
-    dim = len(base)
-    normal = _rational_kernel_vector(rows, dim)
-    if normal is None:
+    kernel = kernel_basis(ExactMatrix(rows))
+    if len(kernel) != 1:
         return None
+    normal = tuple(x.re for x in kernel[0])
     offset = sum(a * x for a, x in zip(normal, base))
     return normal, offset
-
-
-def _rational_kernel_vector(rows, dim):
-    work = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(dim):
-        sel = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        piv = work[r][c]
-        work[r] = [x / piv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    if r != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    vec = [Fraction(0)] * dim
-    vec[free] = Fraction(1)
-    for row, pc in zip(work, pivots):
-        vec[pc] = -row[free]
-    return tuple(vec)
 
 
 def unimodular_triangulation(p: PolytopePk):
@@ -600,30 +541,11 @@ def unimodular_triangulation(p: PolytopePk):
     if len(simplices) != 2 ** (p.k - 1):
         raise AssertionError("unexpected simplex count")
     for s in simplices:
-        if abs(_lattice_det([coords[lbl] for lbl in s])) != 1:
+        base, *rest = (coords[lbl] for lbl in s)
+        edges = ExactMatrix([[a - b for a, b in zip(pt, base)] for pt in rest])
+        if abs(det(edges).re) != 1:
             raise AssertionError(f"simplex {s} is not unimodular")
     return tuple(simplices)
-
-
-def _lattice_det(points):
-    base = points[0]
-    rows = [[Fraction(p - b) for p, b in zip(q, base)] for q in points[1:]]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        sel = next((i for i in range(c, n) if rows[i][c]), None)
-        if sel is None:
-            return 0
-        if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
 
 
 def polytope_lattice_volume(p: PolytopePk) -> int:
@@ -634,8 +556,7 @@ def polytope_lattice_volume(p: PolytopePk) -> int:
     hyperplanes = []
     for f_labels in p.facets:
         pts = [dict(p.vertices)[lbl] for lbl in sorted(f_labels)]
-        sub = [tuple(Fraction(c) for c in q) for q in pts]
-        normal_offset = _hyperplane_through(sub, tuple(range(len(sub))))
+        normal_offset = _hyperplane_through(pts, tuple(range(len(pts))))
         if normal_offset is None:
             raise AssertionError("degenerate facet")
         normal, offset = normal_offset
@@ -814,7 +735,7 @@ def expected_intersection_labels(n, k, fam_a: PrimeFamily, fam_b: PrimeFamily):
 
 
 def verify_sing_complex(sc: SingComplex, q: int,
-                        budget=ffield.DEFAULT_BUDGET, use_numba=None) -> bool:
+                        budget=ffield.DEFAULT_BUDGET) -> bool:
     """Every pairwise label intersection must equal the pointwise
     intersection of the two varieties over F_q."""
     names = sc.variables
@@ -823,7 +744,7 @@ def verify_sing_complex(sc: SingComplex, q: int,
         ok = ffield.coordinate_subspace_equals_intersection(
             sc.cells[a].prime.gens.generators,
             sc.cells[b].prime.gens.generators,
-            len(names), live, q, budget, use_numba)
+            len(names), live, q, budget)
         if not ok:
             return False
     return True

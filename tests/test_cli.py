@@ -104,6 +104,14 @@ def test_bad_ideal_file(capsys, tmp_path):
     assert main(["classify", "--ideal", str(path)]) == 2
 
 
+def test_zero_denominator_is_validation_error(capsys, tmp_path):
+    data = {"n": 2, "generators": [
+        {"constant": 0, "branches": [[[1, 0, 0, 1]], [1]]}]}
+    assert main(["tangent", "--ideal", ideal_file(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert "zero denominator" in err and len(err.splitlines()) == 1
+
+
 def test_not_origin_supported_is_validation_error(capsys, tmp_path):
     data = {"n": 2, "generators": [
         {"constant": 0, "branches": [[1, -1], []]},
@@ -234,3 +242,32 @@ def test_polytope_json_export():
     assert len(data["vertices"]) == 6
     assert len(data["facets"]) == 8
     assert json.loads(dict_to_json(data)) == data
+
+
+# -- rejected input ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-n", "3", "-m", "3", "--ideal", "x"],
+    ["complex", "-n", "3", "-m", "3", "--json"],
+    ["complex", "-n", "3", "-m", "3", "--seed", "4"],
+    ["complex", "-n", "3", "-m", "3", "-k", "9"],
+    ["plot", "-n", "3", "-m", "3", "--format", "svg"],
+    ["classify", "--ideal", "x", "-n", "3"],
+    ["local", "-n", "3", "-m", "4"],
+    ["verify", "-n", "3"],
+])
+def test_flags_of_other_verbs_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-n", "0", "-m", "3"],
+    ["local", "-n", "3", "-k", "5"],
+    ["local", "-n", "2", "-k", "3", "--u", "2,2"],
+])
+def test_out_of_range_parameters_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -37,6 +37,12 @@ def test_punctual_count_single_axis():
         assert punctual_components(1, m) == []
 
 
+@pytest.mark.parametrize("n,m", [(0, 3), (-1, 4), (3, 1), (1, 1)])
+def test_punctual_count_rejects_out_of_range(n, m):
+    with pytest.raises(ValueError):
+        punctual_count(n, m)
+
+
 def test_punctual_multiplicities_by_row_count():
     for n in range(2, 7):
         for m in range(2, 9):

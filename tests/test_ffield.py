@@ -31,30 +31,11 @@ def test_numpy_matches_bruteforce():
     tables = ffield.compile_tables(gens, 3)
     for q in (2, 3):
         for X in ffield.iter_point_chunks(3, q):
-            got = ffield.vanishing_mask(X, tables, q, use_numba=False)
+            got = ffield.vanishing_mask(X, tables, q)
             for row, ok in zip(X.tolist(), got.tolist()):
                 x, y, z = row
                 expected = (x * y) % q == 0 and (x * z - y) % q == 0
                 assert ok == expected
-
-
-@pytest.mark.skipif(not ffield.numba_enabled(), reason="numba unavailable")
-def test_numba_matches_numpy():
-    ideal = reduced_ideal(3, 2)
-    tables = ffield.compile_tables(ideal.generators, ideal.nvars())
-    for q in (2, 3):
-        for X in ffield.iter_point_chunks(ideal.nvars(), q):
-            a = ffield.vanishing_mask(X, tables, q, use_numba=False)
-            b = ffield.vanishing_mask(X, tables, q, use_numba=True)
-            assert np.array_equal(a, b)
-
-
-@pytest.mark.skipif(not ffield.numba_enabled(), reason="numba unavailable")
-def test_full_verification_agrees_across_paths():
-    ideal = reduced_ideal(3, 2)
-    fams = primary_components(3, 2)
-    assert verify_decomposition_ff(ideal, fams, 3, use_numba=True)
-    assert verify_decomposition_ff(ideal, fams, 3, use_numba=False)
 
 
 def test_union_detects_wrong_decomposition():
@@ -78,7 +59,7 @@ def test_chunked_equals_unchunked():
     ideal = reduced_ideal(3, 1)
     tables = ffield.compile_tables(ideal.generators, ideal.nvars())
     big = np.vstack(list(ffield.iter_point_chunks(ideal.nvars(), 3)))
-    whole = ffield.vanishing_mask(big, tables, 3, use_numba=False)
-    parts = [ffield.vanishing_mask(X, tables, 3, use_numba=False)
+    whole = ffield.vanishing_mask(big, tables, 3)
+    parts = [ffield.vanishing_mask(X, tables, 3)
              for X in ffield.iter_point_chunks(ideal.nvars(), 3, chunk=11)]
     assert np.array_equal(whole, np.concatenate(parts))

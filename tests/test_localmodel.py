@@ -81,6 +81,16 @@ def test_family_counts(n, k, expected):
     assert local_component_count(n, k) == expected
 
 
+@pytest.mark.parametrize("n,k", [(3, 5), (3, 4), (3, 0)])
+def test_k_out_of_range_rejected(n, k):
+    u = (2,) * n
+    for build in (reduced_ideal, primary_components):
+        with pytest.raises(ValueError, match="k out of range"):
+            build(n, k)
+    with pytest.raises(ValueError, match="k out of range"):
+        punctual_local_ring(n, k, u)
+
+
 def test_3_2_families_explicit():
     fams = primary_components(3, 2)
     kinds = sorted((f.kind, f.data) for f in fams)
