@@ -67,6 +67,10 @@ def _report(args, data: dict, plain: str):
 
 
 def _cmd_count(args):
+    modes = [args.multi, args.curve, args.global_, args.punctual]
+    if sum(1 for mode in modes if mode) > 1:
+        raise CliError("count takes at most one of --multi, --curve, "
+                       "--global, --punctual")
     if args.multi:
         if args.m is None:
             raise CliError("count --multi requires -m")
@@ -195,8 +199,10 @@ def _cmd_classify(args):
 
 def _cmd_local(args):
     n, k = args.n, args.k
+    if not 1 <= k <= n:
+        raise CliError(f"local needs 1 <= k <= n, got n={n} k={k}")
     if args.format == "off":
-        poly = localmodel.toric_polytope(k if k >= 2 else 2)
+        poly = localmodel.toric_polytope(k)
         _emit(args, export.polytope_to_off(poly))
         return 0
     if args.u:
@@ -288,7 +294,7 @@ FLAGS = {
     "--json": dict(action="store_true"),
     "--strict": dict(action="store_true"),
     "--out": dict(type=str),
-    "--format": dict(choices=["json", "off", "svg"]),
+    "--format": dict(help="output format"),
     "--field-prime": dict(type=int, choices=[2, 3]),
     "--seed": dict(type=int, default=0),
     "--punctual": dict(action="store_true"),
@@ -298,6 +304,9 @@ FLAGS = {
 }
 
 IDEAL_FLAGS = ("--ideal", "--json", "--out")
+
+# verb -> the --format values its handler reads
+FORMATS = {"complex": ["json", "off", "svg"], "local": ["json", "off"]}
 
 # verb -> (help, handler, flags it reads, flags it requires)
 VERBS = {
@@ -325,8 +334,15 @@ VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hilbfold",
         description="Hilbert schemes of points on curves with rational "
                     "n-fold singularities: exact counts, classification "
@@ -335,7 +351,10 @@ def build_parser():
     for verb, (help_text, handler, flags, required) in VERBS.items():
         p = sub.add_parser(verb, help=help_text)
         for flag in flags:
-            p.add_argument(flag, required=flag in required, **FLAGS[flag])
+            spec = dict(FLAGS[flag])
+            if flag == "--format":
+                spec["choices"] = FORMATS[verb]
+            p.add_argument(flag, required=flag in required, **spec)
         p.set_defaults(func=handler)
     return parser
 

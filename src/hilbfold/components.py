@@ -305,8 +305,7 @@ def normalization_fiber_degree(ideal: PunctualIdeal, mprime: int) -> int:
     mu = moment_global(ideal)
     K = build_complex(n, total)
     hyper_l = mprime - 1
-    return sum(1 for c in K.cells
-               if c.l == hyper_l and c.contains(mu.coords))
+    return sum(1 for c in K.cells_containing(mu.coords) if c.l == hyper_l)
 
 
 def component_ideal_instance(comp: GrassComponent, coeffs) -> PunctualIdeal:

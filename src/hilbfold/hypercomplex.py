@@ -17,7 +17,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import ceil, comb, floor
+from types import MappingProxyType
+
+from .foldring import InternalDiagnosticError
 
 
 @dataclass(frozen=True)
@@ -186,21 +189,41 @@ def intersect_cells(c1: HyperCell, c2: HyperCell):
 
 
 class ComplexKnm:
-    """The subdivision of (m-1) * simplex by translated hypersimplices."""
+    """The subdivision of (m-1) * simplex by translated hypersimplices.
+
+    Immutable: n, m and cells are read-only, so one instance can be shared
+    by every caller (build_complex memoises it).  Adjacency is derived from
+    the cells on each access and never stored."""
+
+    __slots__ = ("_n", "_m", "_cells", "_index")
 
     def __init__(self, n, m, cells=None):
-        self.n = n
-        self.m = m
         if n < 1 or m < 1:
             raise ValueError("need n >= 1 and m >= 1")
         if cells is None:
             cells = self._enumerate_cells(n, m)
-        self.cells = tuple(sorted(cells, key=HyperCell.sort_key))
-        self.adjacency = {}
-        for i, j in itertools.combinations(range(len(self.cells)), 2):
-            face = intersect_cells(self.cells[i], self.cells[j])
-            if face is not None:
-                self.adjacency[(i, j)] = face
+        cells = tuple(sorted(cells, key=HyperCell.sort_key))
+        if any(c.n != n or c.coordinate_sum != m - 1 for c in cells):
+            raise ValueError("cells live outside the slice of sum m - 1")
+        index = {(c.l, c.shift): i for i, c in enumerate(cells)}
+        if len(index) != len(cells):
+            raise ValueError("duplicate cells")
+        self._n = n
+        self._m = m
+        self._cells = cells
+        self._index = MappingProxyType(index)
+
+    @property
+    def n(self):
+        return self._n
+
+    @property
+    def m(self):
+        return self._m
+
+    @property
+    def cells(self):
+        return self._cells
 
     @staticmethod
     def _enumerate_cells(n, m):
@@ -211,6 +234,40 @@ class ComplexKnm:
             for shift in compositions(m - 1 - l, n):
                 cells.append(HyperCell(n, l, shift))
         return cells
+
+    @property
+    def adjacency(self):
+        """Read-only map (i, j) -> common face of cells i < j, for every
+        intersecting pair.
+
+        Two cells meet exactly when their shifts differ by some d in
+        {-1,0,1}^n with s1 = {d = 1} of size <= n - l and s2 = {d = -1} of
+        size <= l (see intersect_cells), so each cell looks up its
+        neighbours shift - d instead of testing every other cell.  Only
+        |s1| >= |s2| can give a later cell, as cells sort by l first."""
+        n, cells, index = self.n, self.cells, self._index
+        out = {}
+        for i, cell in enumerate(cells):
+            l, shift = cell.l, cell.shift
+            support = [k for k in range(n) if shift[k]]
+            later = []
+            for a in range(min(len(support), n - l) + 1):
+                for s1 in itertools.combinations(support, a):
+                    down = list(shift)
+                    for k in s1:
+                        down[k] -= 1
+                    rest = [k for k in range(n) if k not in s1]
+                    for b in range(max(0, l + a - n + 1), min(a, l) + 1):
+                        for s2 in itertools.combinations(rest, b):
+                            up = down[:]
+                            for k in s2:
+                                up[k] += 1
+                            j = index.get((l + a - b, tuple(up)))
+                            if j is not None and j > i:
+                                later.append(j)
+            for j in sorted(later):
+                out[(i, j)] = intersect_cells(cell, cells[j])
+        return MappingProxyType(out)
 
     @property
     def is_point(self):
@@ -226,12 +283,11 @@ class ComplexKnm:
         return None
 
     def __eq__(self, other):
+        # adjacency is a function of the cells, so equal cells suffice
         if not isinstance(other, ComplexKnm):
             return NotImplemented
         return (self.n == other.n and self.m == other.m
-                and self.cells == other.cells
-                and {k: f.vertices() for k, f in self.adjacency.items()}
-                == {k: f.vertices() for k, f in other.adjacency.items()})
+                and self.cells == other.cells)
 
     def all_faces(self):
         """Every face of every cell, deduplicated by vertex set."""
@@ -249,7 +305,20 @@ class ComplexKnm:
         return sorted(out)
 
     def cells_containing(self, point):
-        return [c for c in self.cells if c.contains(point)]
+        """Cells containing the point, in cell order.
+
+        A containing cell has shift_i in {floor(p_i), ceil(p_i) - 1} and
+        l = m - 1 - |shift|, so only those candidates are looked up."""
+        point = tuple(Fraction(x) for x in point)
+        if len(point) != self.n:
+            return []
+        choices = [{floor(x), ceil(x) - 1} for x in point]
+        hits = []
+        for shift in itertools.product(*choices):
+            i = self._index.get((self.m - 1 - sum(shift), shift))
+            if i is not None and self.cells[i].contains(point):
+                hits.append(i)
+        return [self.cells[i] for i in sorted(hits)]
 
     def maximal_cells_through(self, face: Face):
         fv = face.vertices()
@@ -270,6 +339,7 @@ def compositions(total, parts):
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
 def build_complex(n: int, m: int) -> ComplexKnm:
     return ComplexKnm(n, m)
 
@@ -317,7 +387,8 @@ def slice_complex(K: ComplexKnm, axes, values) -> ComplexKnm:
             continue
         covered = any(set(verts) <= c.vertices() for c in result.cells)
         if not covered:
-            raise AssertionError("degenerate slice piece not covered by a cell")
+            raise InternalDiagnosticError(
+                "degenerate slice piece not covered by a cell")
     return result
 
 
@@ -332,7 +403,7 @@ def is_smoothable_face(face: Face, K: ComplexKnm) -> bool:
     closed = _smoothable_closed(face)
     recursive = _smoothable_recursive(face, K)
     if closed != recursive:
-        raise AssertionError(
+        raise InternalDiagnosticError(
             f"smoothable-face criteria disagree on {face}: "
             f"closed={closed} recursive={recursive}")
     return closed
@@ -373,7 +444,8 @@ def _smoothable_recursive(face: Face, K: ComplexKnm) -> bool:
             image = _face_from_vertices(proj, cell)
             if image is not None:
                 return _smoothable_recursive(image, sliced)
-    raise AssertionError("sliced face image not found in the sliced complex")
+    raise InternalDiagnosticError(
+        "sliced face image not found in the sliced complex")
 
 
 def _face_from_vertices(verts, cell: HyperCell):
@@ -405,7 +477,7 @@ def cells_at_vertex(K: ComplexKnm, vertex) -> int:
     k = sum(1 for x in vertex if x > 0)
     expected = (2 ** k - 2) if k == K.n else (2 ** k - 1)
     if count != expected:
-        raise AssertionError(
+        raise InternalDiagnosticError(
             f"incident-cell count {count} contradicts closed form {expected}")
     return count
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ExactMatrix, minor
-from .foldring import PunctualIdeal
+from .foldring import InternalDiagnosticError, PunctualIdeal
 from .hypercomplex import ComplexKnm, Face
 
 
@@ -137,7 +137,7 @@ def moment_global(ideal: PunctualIdeal, m: int | None = None) -> MomentPoint:
     first = values[0]
     for other in values[1:]:
         if other.coords != first.coords:
-            raise AssertionError(
+            raise InternalDiagnosticError(
                 f"moment images disagree across components: {values}")
     return first
 
@@ -217,7 +217,8 @@ def locate(point: MomentPoint, K: ComplexKnm) -> Face:
         if found is None:
             found = face
         elif found != face:
-            raise AssertionError("minimal face is not unique across cells")
+            raise InternalDiagnosticError(
+                "minimal face is not unique across cells")
     if found is None:
         raise ValueError("point not covered by any cell")
     return found

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import hilbfold
 
 from hilbfold.cli import main
 from hilbfold.export import (complex_to_dict, dict_to_json, polytope_to_off,
@@ -255,19 +261,56 @@ def test_polytope_json_export():
     ["classify", "--ideal", "x", "-n", "3"],
     ["local", "-n", "3", "-m", "4"],
     ["verify", "-n", "3"],
+    ["local", "-n", "3", "-k", "2", "--format", "svg"],
 ])
 def test_flags_of_other_verbs_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [
     ["count", "-n", "0", "-m", "3"],
     ["local", "-n", "3", "-k", "5"],
     ["local", "-n", "2", "-k", "3", "--u", "2,2"],
+    ["local", "-n", "3", "-k", "5", "--format", "off"],
+    ["local", "-n", "3", "-k", "1", "--format", "off"],
 ])
 def test_out_of_range_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_count_rejects_two_mode_flags(capsys):
+    assert main(["count", "--curve", "--global", "-n", "3", "-m", "3"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cross_check_disagreement_exits_3(capsys, tmp_path, monkeypatch):
+    from hilbfold import hypercomplex
+    closed = hypercomplex._smoothable_closed
+    monkeypatch.setattr(hypercomplex, "_smoothable_closed",
+                        lambda face: not closed(face))
+    path = ideal_file(tmp_path, VERTEX_IDEAL)
+    assert main(["classify", "--ideal", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal diagnostic failure: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(hilbfold.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbfold", "count", "-n", "3", "-m", "3"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "4\n"

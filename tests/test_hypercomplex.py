@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -81,16 +83,35 @@ def test_pairwise_intersections_are_common_faces():
     for n in range(2, 5):
         for m in range(2, 6):
             K = build_complex(n, m)
+            adjacency = K.adjacency
             for i, j in itertools.combinations(range(len(K.cells)), 2):
                 c1, c2 = K.cells[i], K.cells[j]
                 meet = c1.vertices() & c2.vertices()
-                face = K.adjacency.get((i, j))
+                face = adjacency.get((i, j))
                 if face is None:
                     assert not meet
                 else:
                     assert face.vertices() <= c1.vertices()
                     assert face.vertices() <= c2.vertices()
                     assert face.vertices() == meet
+
+
+def test_adjacency_equals_all_pairs_intersection():
+    # the neighbour lookup against the O(C^2) definition it replaces
+    for n in range(2, 7):
+        for m in range(2, 9 if n < 6 else 7):
+            K = build_complex(n, m)
+            expected = {}
+            for i, j in itertools.combinations(range(len(K.cells)), 2):
+                face = intersect_cells(K.cells[i], K.cells[j])
+                if face is not None:
+                    expected[(i, j)] = face
+            adjacency = K.adjacency
+            assert list(adjacency) == list(expected), (n, m)
+            for key, face in expected.items():
+                got = adjacency[key]
+                assert (got.vertices(), got.s1, got.s2, got.shift) == \
+                    (face.vertices(), face.s1, face.s2, face.shift)
 
 
 def test_small_difference_can_still_be_disjoint():
@@ -138,6 +159,56 @@ def test_face_identity_by_vertex_set():
     a = intersect_cells(cell(2, 1, (1, 0)), cell(2, 1, (0, 1)))
     b = intersect_cells(cell(2, 1, (0, 1)), cell(2, 1, (1, 0)))
     assert a == b and hash(a) == hash(b)
+
+
+# -- point location and sharing ---------------------------------------------------
+
+def _sample_points(K, rng):
+    """Lattice vertices, points on random faces of random cells (boundaries
+    included) and rational points of the dilated simplex on a 1/2 and 1/3
+    grid."""
+    points = list(K.vertices())
+    for _ in range(40):
+        verts = sorted(rng.choice(K.cells).vertices())
+        chosen = rng.sample(verts, rng.randint(1, len(verts)))
+        weights = [Fraction(rng.randint(1, 4)) for _ in chosen]
+        total = sum(weights)
+        points.append(tuple(sum(w * v[i] for w, v in zip(weights, chosen))
+                            / total for i in range(K.n)))
+    for den in (2, 3):
+        for _ in range(20):
+            cuts = sorted(rng.randint(0, (K.m - 1) * den)
+                          for _ in range(K.n - 1))
+            parts = [b - a for a, b in
+                     zip([0] + cuts, cuts + [(K.m - 1) * den])]
+            points.append(tuple(Fraction(p, den) for p in parts))
+    return points
+
+
+def test_cells_containing_matches_linear_scan():
+    rng = random.Random("hilbfold:cells_containing")
+    for n in range(2, 6):
+        for m in range(2, 7):
+            K = build_complex(n, m)
+            for p in _sample_points(K, rng):
+                assert K.cells_containing(p) == \
+                    [c for c in K.cells if c.contains(p)], (n, m, p)
+    K = build_complex(3, 4)
+    for p in [(1, 1), (1, 1, 1, 0), (4, -1, 0), (1, 1, 2), (0.5, 1.5, 1)]:
+        assert K.cells_containing(p) == [c for c in K.cells if c.contains(p)]
+
+
+def test_build_complex_is_memoised_and_immutable():
+    K = build_complex(3, 4)
+    assert build_complex(3, 4) is K
+    cells = K.cells
+    for attr, value in [("cells", ()), ("n", 4), ("m", 5),
+                        ("adjacency", {})]:
+        with pytest.raises(AttributeError):
+            setattr(K, attr, value)
+    assert K.cells is cells and (K.n, K.m) == (3, 4)
+    with pytest.raises(TypeError):
+        K.adjacency[(0, 1)] = None
 
 
 # -- slicing -------------------------------------------------------------------
