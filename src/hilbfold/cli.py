@@ -103,6 +103,10 @@ def _cmd_count(args):
 
 def _cmd_components(args):
     if args.mprime is not None:
+        if not 2 <= args.mprime <= min(args.m, args.n - 1):
+            raise CliError(f"components needs 2 <= mprime <= min(m, n - 1), "
+                           f"got n={args.n} m={args.m} "
+                           f"mprime={args.mprime}")
         rows = []
         for level in range(args.m - args.mprime + 1):
             sd = comp.stratum_descriptor(args.n, args.m, args.mprime, level)

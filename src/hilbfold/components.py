@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .exact import ExactMatrix
-from .foldring import FoldRingCtx, PunctualIdeal
+from .foldring import FoldRingCtx, InternalDiagnosticError, PunctualIdeal
 from .hypercomplex import HyperCell, build_complex, compositions, kappa
 from .moment import moment_global
 
@@ -90,7 +90,8 @@ def punctual_count(n: int, m: int) -> CountComparison:
         closed = (Fraction(m - 1, n) + Fraction(n - m, n)) * comb(m + n - 2, n - 1)
     direct = len(punctual_components(n, m))
     if direct != value:
-        raise AssertionError("enumeration disagrees with the summed count")
+        raise InternalDiagnosticError(
+            "enumeration disagrees with the summed count")
     return CountComparison(value, closed, closed == value)
 
 
@@ -195,7 +196,7 @@ def global_count(n: int, m: int) -> int:
                                        for mp in range(2, min(m, n - 1) + 1))
     direct = len(global_components(n, m))
     if formula != direct:
-        raise AssertionError(
+        raise InternalDiagnosticError(
             f"global component formula {formula} != enumeration {direct}")
     return direct
 
@@ -285,7 +286,8 @@ def stratum_descriptor(n: int, m: int, mprime: int, u_level: int) -> StratumDesc
     sub = restricted_gluing_graph(n, local, l)
     count = comb(u_level + n - 1, n - 1)
     if len(sub.nodes) != count:
-        raise AssertionError("stratum component count disagrees with C(u+n-1, n-1)")
+        raise InternalDiagnosticError(
+            "stratum component count disagrees with C(u+n-1, n-1)")
     return StratumDescriptor(m - mprime - u_level, local, l, count, sub)
 
 

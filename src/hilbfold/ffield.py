@@ -1,9 +1,12 @@
 """Brute-force vanishing sweeps over small prime fields.
 
-The set-theoretic primary-decomposition checks walk every point of F_q^V
-(up to 10^7 points) and evaluate a few dozen monomial/binomial generators
-at each.  That loop dominates the package's runtime, so it is vectorised
-with numpy.
+The set-theoretic checks (primary decompositions, reductions, the
+singularity complex) walk every point of F_q^V (up to 10^7 points) and
+evaluate a few dozen monomial/binomial generators at each.  One engine,
+``_walk``, does that: it checks the budget, compiles each generator list
+once and yields each chunk of points with one vanishing mask per list.
+Every check is a reduction over those masks and walks F_q^V once, however
+many varieties it compares.  The loop is vectorised with numpy.
 
 A generator is a sequence of (coeff, ((var_index, exponent), ...)) terms;
 the families handled here only ever carry one or two terms with
@@ -75,10 +78,16 @@ def vanishing_mask(X, tables, q):
     return ok
 
 
-def _check_budget(nvars, q, budget):
+def _walk(gens_list, nvars, q, budget):
+    """Walk F_q^V once, chunk by chunk.  Yields (X, masks), where masks[i]
+    marks the rows of X at which every generator of gens_list[i] vanishes.
+    The budget is checked before any point is made."""
     if q ** nvars > budget:
         raise BudgetExceeded(
             f"{q}^{nvars} points exceed the sweep budget {budget}")
+    tables = [compile_tables(gens, nvars) for gens in gens_list]
+    for X in iter_point_chunks(nvars, q):
+        yield X, [vanishing_mask(X, tab, q) for tab in tables]
 
 
 def union_equals_ideal(ideal_gens, prime_gens_list, nvars, q,
@@ -86,61 +95,45 @@ def union_equals_ideal(ideal_gens, prime_gens_list, nvars, q,
     """Pointwise over F_q^V: the ideal vanishes exactly where at least one
     of the primes vanishes.  Only union equality is required; individual
     containments are not assumed."""
-    _check_budget(nvars, q, budget)
-    ideal_tables = compile_tables(ideal_gens, nvars)
-    prime_tables = [compile_tables(p, nvars) for p in prime_gens_list]
-    for X in iter_point_chunks(nvars, q):
-        lhs = vanishing_mask(X, ideal_tables, q)
+    for X, (lhs, *primes) in _walk([ideal_gens, *prime_gens_list], nvars, q,
+                                   budget):
         rhs = np.zeros(X.shape[0], dtype=bool)
-        for tab in prime_tables:
-            rhs |= vanishing_mask(X, tab, q)
+        for mask in primes:
+            rhs |= mask
         if not np.array_equal(lhs, rhs):
             return False
     return True
 
 
 def count_vanishing(gens, nvars, q, budget=DEFAULT_BUDGET) -> int:
-    _check_budget(nvars, q, budget)
-    tables = compile_tables(gens, nvars)
-    total = 0
-    for X in iter_point_chunks(nvars, q):
-        total += int(vanishing_mask(X, tables, q).sum())
-    return total
+    return sum(int(mask.sum())
+               for _, (mask,) in _walk([gens], nvars, q, budget))
 
 
 def projection_into_variety(big_gens, big_nvars, small_gens, small_nvars,
                             var_map, q, budget=DEFAULT_BUDGET) -> bool:
     """Every F_q-point of the big variety must project (via var_map:
     small index -> big index) onto a point of the small one."""
-    _check_budget(big_nvars, q, budget)
-    big_tables = compile_tables(big_gens, big_nvars)
     small_tables = compile_tables(small_gens, small_nvars)
-    cols = np.asarray([var_map[i] for i in range(small_nvars)], dtype=np.int64)
-    for X in iter_point_chunks(big_nvars, q):
-        on_big = vanishing_mask(X, big_tables, q)
-        if not on_big.any():
-            continue
-        proj = X[on_big][:, cols]
-        if not vanishing_mask(proj, small_tables, q).all():
+    cols = [var_map[i] for i in range(small_nvars)]
+    for X, (on_big,) in _walk([big_gens], big_nvars, q, budget):
+        if on_big.any() and not vanishing_mask(
+                X[on_big][:, cols], small_tables, q).all():
             return False
     return True
 
 
-def coordinate_subspace_equals_intersection(gens_a, gens_b, nvars, live_vars,
-                                            q, budget=DEFAULT_BUDGET) -> bool:
-    """V(A) intersect V(B) must equal the coordinate subspace where every
-    variable outside live_vars vanishes."""
-    _check_budget(nvars, q, budget)
-    ta = compile_tables(gens_a, nvars)
-    tb = compile_tables(gens_b, nvars)
-    dead = np.asarray([v for v in range(nvars) if v not in set(live_vars)],
-                      dtype=np.int64)
-    for X in iter_point_chunks(nvars, q):
-        on_both = vanishing_mask(X, ta, q) & vanishing_mask(X, tb, q)
-        if dead.size:
-            on_subspace = (X[:, dead] == 0).all(axis=1)
-        else:
-            on_subspace = np.ones(X.shape[0], dtype=bool)
-        if not np.array_equal(on_both, on_subspace):
-            return False
+def coordinate_subspace_equals_intersection(gens_list, live_vars, nvars, q,
+                                            budget=DEFAULT_BUDGET) -> bool:
+    """For every pair (a, b) of live_vars, V(gens_list[a]) intersect
+    V(gens_list[b]) must equal the coordinate subspace where every variable
+    outside live_vars[(a, b)] vanishes.  One walk answers every pair."""
+    dead = {pair: [v for v in range(nvars) if v not in set(live)]
+            for pair, live in live_vars.items()}
+    for X, masks in _walk(gens_list, nvars, q, budget):
+        zero = X == 0
+        for (a, b), cols in dead.items():
+            if not np.array_equal(masks[a] & masks[b],
+                                  zero[:, cols].all(axis=1)):
+                return False
     return True

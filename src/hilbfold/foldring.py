@@ -710,11 +710,11 @@ def is_singular_point(ideal: PunctualIdeal, m: int | None = None) -> SingularVer
     return SingularVerdict(syntactic, condition, tangent, expected)
 
 
-def is_smoothable(ideal: PunctualIdeal, cross_check: bool = True) -> bool:
+def is_smoothable(ideal: PunctualIdeal) -> bool:
     """True when [J] is a limit of reduced points.
 
     Canonical-form criterion: at most one generator is non-monomial.  When
-    requested (and meaningful) the verdict is cross-checked against the
+    meaningful (colength >= 2) the verdict is cross-checked against the
     smoothable-face test on the moment image inside the hypersimplicial
     complex.
     """
@@ -722,7 +722,7 @@ def is_smoothable(ideal: PunctualIdeal, cross_check: bool = True) -> bool:
     non_mon = pure.l - len(pure.monomial_rows())
     verdict = non_mon <= 1
     m = pure.colength()
-    if cross_check and m >= 2:
+    if m >= 2:
         from .hypercomplex import build_complex, is_smoothable_face
         from .moment import locate, moment_global
         complex_ = build_complex(pure.n, m)

@@ -16,7 +16,7 @@ from math import comb, gcd as _gcd
 
 from . import ffield
 from .exact import ExactMatrix, det, kernel_basis
-from .foldring import component_dimension
+from .foldring import InternalDiagnosticError, component_dimension
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def local_component_count(n: int, k: int) -> int:
         expected = 2 ** k - 2
     direct = len(primary_components(n, k))
     if direct != expected:
-        raise AssertionError(
+        raise InternalDiagnosticError(
             f"family enumeration {direct} disagrees with formula {expected}")
     return expected
 
@@ -488,10 +488,11 @@ def toric_polytope(k: int) -> PolytopePk:
             facets.append(frozenset(labels))
     facets = tuple(sorted(set(facets), key=sorted))
     if len(facets) != 2 ** k:
-        raise AssertionError("facet formula did not produce 2^k facets")
+        raise InternalDiagnosticError(
+            "facet formula did not produce 2^k facets")
     enumerated = _enumerate_facets(verts)
     if set(enumerated) != set(facets):
-        raise AssertionError(
+        raise InternalDiagnosticError(
             "facet formula disagrees with the hyperplane enumeration")
     return PolytopePk(k, tuple(verts), facets)
 
@@ -539,12 +540,12 @@ def unimodular_triangulation(p: PolytopePk):
         simplices = [s + (f"a{i}",) for s in simplices] + \
                     [s + (f"b{i}",) for s in simplices]
     if len(simplices) != 2 ** (p.k - 1):
-        raise AssertionError("unexpected simplex count")
+        raise InternalDiagnosticError("unexpected simplex count")
     for s in simplices:
         base, *rest = (coords[lbl] for lbl in s)
         edges = ExactMatrix([[a - b for a, b in zip(pt, base)] for pt in rest])
         if abs(det(edges).re) != 1:
-            raise AssertionError(f"simplex {s} is not unimodular")
+            raise InternalDiagnosticError(f"simplex {s} is not unimodular")
     return tuple(simplices)
 
 
@@ -558,7 +559,7 @@ def polytope_lattice_volume(p: PolytopePk) -> int:
         pts = [dict(p.vertices)[lbl] for lbl in sorted(f_labels)]
         normal_offset = _hyperplane_through(pts, tuple(range(len(pts))))
         if normal_offset is None:
-            raise AssertionError("degenerate facet")
+            raise InternalDiagnosticError("degenerate facet")
         normal, offset = normal_offset
         inner = [q for q in coords
                  if sum(a * x for a, x in zip(normal, q)) != offset]
@@ -681,7 +682,7 @@ def build_sing_complex(n: int, k: int) -> SingComplex:
         inters[(a, b)] = common
         for cell in (cells[a], cells[b]):
             if common and not cell.is_face(common):
-                raise AssertionError(
+                raise InternalDiagnosticError(
                     f"shared labels {sorted(common)} are not a face of {cell.label}")
     return SingComplex(n, k, names, tuple(cells), inters)
 
@@ -737,17 +738,13 @@ def expected_intersection_labels(n, k, fam_a: PrimeFamily, fam_b: PrimeFamily):
 def verify_sing_complex(sc: SingComplex, q: int,
                         budget=ffield.DEFAULT_BUDGET) -> bool:
     """Every pairwise label intersection must equal the pointwise
-    intersection of the two varieties over F_q."""
+    intersection of the two varieties over F_q, all pairs in one walk."""
     names = sc.variables
-    for (a, b), common in sc.intersections.items():
-        live = [names.index(v) for v in common if v in names]
-        ok = ffield.coordinate_subspace_equals_intersection(
-            sc.cells[a].prime.gens.generators,
-            sc.cells[b].prime.gens.generators,
-            len(names), live, q, budget)
-        if not ok:
-            return False
-    return True
+    live = {pair: [names.index(v) for v in common if v in names]
+            for pair, common in sc.intersections.items()}
+    return ffield.coordinate_subspace_equals_intersection(
+        [cell.prime.gens.generators for cell in sc.cells], live, len(names),
+        q, budget)
 
 
 # --------------------------------------------------------------------------
@@ -799,6 +796,6 @@ def translate_component(fam: PrimeFamily, n: int, k: int, u) -> ComponentTransla
         rows = out.grass[1]
         expected = component_dimension(n, m, rows)
     if out.dimension(n) != expected:
-        raise AssertionError(
+        raise InternalDiagnosticError(
             f"dimension bookkeeping broken for {fam.kind}{fam.data}")
     return out

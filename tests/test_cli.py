@@ -277,6 +277,8 @@ def test_flags_of_other_verbs_are_rejected(argv, capsys):
     ["local", "-n", "2", "-k", "3", "--u", "2,2"],
     ["local", "-n", "3", "-k", "5", "--format", "off"],
     ["local", "-n", "3", "-k", "1", "--format", "off"],
+    ["components", "-n", "3", "-m", "3", "--mprime", "9"],
+    ["components", "-n", "3", "-m", "3", "--mprime", "1"],
 ])
 def test_out_of_range_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -302,6 +304,15 @@ def test_cross_check_disagreement_exits_3(capsys, tmp_path, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal diagnostic failure: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_local_dimension_bookkeeping_failure_exits_3(capsys):
+    # the (2,1) origin_pair family fails translate_component's check
+    assert main(["local", "-n", "2", "-k", "1", "--u", "2,1"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("internal diagnostic failure: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_python_dash_m_runs_the_cli():

@@ -63,3 +63,17 @@ def test_chunked_equals_unchunked():
     parts = [ffield.vanishing_mask(X, tables, 3)
              for X in ffield.iter_point_chunks(ideal.nvars(), 3, chunk=11)]
     assert np.array_equal(whole, np.concatenate(parts))
+
+
+def test_subspace_check_refuses_before_walking(monkeypatch):
+    made = []
+
+    def chunks(*args, **kwargs):
+        made.append(args)
+        return iter(())
+    monkeypatch.setattr(ffield, "iter_point_chunks", chunks)
+    gens = simple_gens()
+    with pytest.raises(ffield.BudgetExceeded):
+        ffield.coordinate_subspace_equals_intersection(
+            [gens[:1], gens[1:]], {(0, 1): [2]}, 3, 3, budget=10)
+    assert made == []

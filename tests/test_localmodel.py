@@ -1,7 +1,10 @@
 import itertools
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from hilbfold import ffield
 from hilbfold.localmodel import (ComponentTranslation, PolyIdealGens,
                                  build_sing_complex, deformation_ideal,
                                  expected_intersection_labels,
@@ -234,11 +237,61 @@ def test_sing_complex_intersection_dictionary():
             assert common == expected
 
 
+def _sing_complex_mutations(sc):
+    """Each pair's labels with one label removed, then with one missing
+    variable added."""
+    for pair, common in sc.intersections.items():
+        for label in sorted(common):
+            yield pair, common - {label}
+        for var in sc.variables:
+            if var not in common:
+                yield pair, common | {var}
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+@pytest.mark.parametrize("q", [2, 3])
+def test_sing_complex_rejects_every_single_label_mutation(n, k, q):
+    sc = build_sing_complex(n, k)
+    mutations = list(_sing_complex_mutations(sc))
+    assert len(mutations) == len(sc.intersections) * len(sc.variables)
+    for pair, labels in mutations:
+        wrong = replace(sc, intersections={**sc.intersections, pair: labels})
+        assert not verify_sing_complex(wrong, q), (pair, sorted(labels))
+
+
+def _pairwise_reference(sc, q):
+    """Per pair, the labels of the coordinate subspace that V(A) and V(B)
+    meet in over F_q, or None when their intersection is not one: the
+    subspace spanned by the variables nonzero somewhere on it must hold
+    exactly as many points as the intersection."""
+    nvars = len(sc.variables)
+    tables = [ffield.compile_tables(cell.prime.gens.generators, nvars)
+              for cell in sc.cells]
+    support = {pair: np.zeros(nvars, dtype=bool) for pair in sc.intersections}
+    points = dict.fromkeys(sc.intersections, 0)
+    for X in ffield.iter_point_chunks(nvars, q):
+        masks = [ffield.vanishing_mask(X, tab, q) for tab in tables]
+        for a, b in sc.intersections:
+            both = masks[a] & masks[b]
+            support[(a, b)] |= (X[both] != 0).any(axis=0)
+            points[(a, b)] += int(both.sum())
+    out = {}
+    for pair, live in support.items():
+        labels = frozenset(v for v, on in zip(sc.variables, live) if on)
+        out[pair] = labels if points[pair] == q ** len(labels) else None
+    return out
+
+
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (3, 3), (4, 1),
                                  (4, 2), (4, 3)])
 @pytest.mark.parametrize("q", [2, 3])
 def test_sing_complex_pointwise(n, k, q):
-    assert verify_sing_complex(build_sing_complex(n, k), q)
+    sc = build_sing_complex(n, k)
+    reference = _pairwise_reference(sc, q)
+    expected = all(reference[pair] == labels
+                   for pair, labels in sc.intersections.items())
+    assert verify_sing_complex(sc, q) == expected
+    assert expected
 
 
 def test_local_count_matches_incident_cells_plus_smoothables():
