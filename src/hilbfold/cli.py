@@ -22,10 +22,15 @@ class CliError(Exception):
     pass
 
 
+def _is_int(raw) -> bool:
+    """A plain JSON integer: not a bool, which Python counts as an int."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _parse_coeff(raw) -> GaussRational:
-    if isinstance(raw, int):
+    if _is_int(raw):
         return GaussRational(raw)
-    if isinstance(raw, list) and len(raw) == 4:
+    if isinstance(raw, list) and len(raw) == 4 and all(map(_is_int, raw)):
         rn, rd, im_n, im_d = raw
         if rd == 0 or im_d == 0:
             raise CliError(f"bad coefficient {raw!r}: zero denominator")
@@ -40,7 +45,9 @@ def load_ideal(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read ideal file: {exc}")
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if not _is_int(n):
+            raise CliError(f"malformed ideal file: n = {n!r} is not an integer")
         gens = []
         for g in data["generators"]:
             constant = _parse_coeff(g.get("constant", 0))

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .exact import ExactMatrix
-from .foldring import FoldRingCtx, InternalDiagnosticError, PunctualIdeal
+from .foldring import InternalDiagnosticError, PunctualIdeal
 from .hypercomplex import HyperCell, build_complex, compositions, kappa
 from .moment import moment_global
 
@@ -224,6 +223,8 @@ def multi_sing_count(k: int, m: int, ns) -> MultiSingCount:
     ns = tuple(ns)
     if k < 1 or len(ns) != k or any(x < 2 for x in ns):
         raise ValueError("need k >= 1 singularities of multiplicity >= 2")
+    if m < 0:
+        raise ValueError(f"length m = {m} is negative")
     choices = [[0] + list(range(2, min(m, ni - 1) + 1)) for ni in ns]
     vectors = tuple(v for v in itertools.product(*choices) if sum(v) <= m)
     brute = len(vectors)
@@ -309,8 +310,3 @@ def normalization_fiber_degree(ideal: PunctualIdeal, mprime: int) -> int:
     hyper_l = mprime - 1
     return sum(1 for c in K.cells_containing(mu.coords) if c.l == hyper_l)
 
-
-def component_ideal_instance(comp: GrassComponent, coeffs) -> PunctualIdeal:
-    """A member of the component from an explicit coefficient matrix."""
-    mat = ExactMatrix(coeffs)
-    return PunctualIdeal(FoldRingCtx(comp.n), comp.l, comp.u, mat)

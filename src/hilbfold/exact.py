@@ -4,7 +4,11 @@ Everything downstream (moment maps, tangent spaces, Pluecker coordinates)
 needs |q|^2 to be an exact rational, so scalars are a + b*i with rational
 a, b.  A value is stored as an integer triple (a, b, d) meaning
 (a + b*i)/d with d > 0 and gcd(a, b, d) = 1; this is noticeably faster
-than a pair of Fractions in the elimination loops.
+than a pair of Fractions in elimination.
+
+One Gauss-Jordan loop, ``_eliminate``, serves every entry point: ``rref``,
+``rank``, ``kernel_basis``, ``det`` and ``minor``.  The matrices met here
+are sparse, so the loop skips every update whose pivot-row entry is zero.
 
 No floating point is used anywhere in this module.
 """
@@ -202,22 +206,22 @@ class ExactMatrix:
         body = "; ".join(" ".join(repr(x) for x in row) for row in self.entries)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.entries[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
 
-
-def rref(rows):
-    """Reduced row echelon form of a list of GaussRational row-lists.
+def _eliminate(rows):
+    """Gauss-Jordan elimination, the one loop behind every entry point.
 
     Pivots are chosen left to right taking the first row with a nonzero
-    entry, the pivot is normalised to 1 and cleared from every other row.
-    Returns (reduced_rows, pivot_columns); zero rows are dropped.
+    entry, the pivot is normalised to 1 and cleared from every other row;
+    an entry whose pivot-row entry is zero is left as it is.  Returns
+    (reduced_rows, pivot_columns, scale) with zero rows dropped, where
+    scale is the product of the pivots before normalisation, negated for
+    each row swap: the determinant when the rows are square of full rank.
     """
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
     pivots = []
     rank = 0
+    scale = GR_ONE
     for col in range(ncols):
         sel = None
         for i in range(rank, len(work)):
@@ -226,16 +230,29 @@ def rref(rows):
                 break
         if sel is None:
             continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [x * inv for x in work[rank]]
+        if sel != rank:
+            work[rank], work[sel] = work[sel], work[rank]
+            scale = -scale
+        piv = work[rank][col]
+        scale = scale * piv
+        inv = piv.inverse()
+        prow = work[rank] = [x * inv if x else x for x in work[rank]]
         for i in range(len(work)):
             if i != rank and work[i][col]:
                 f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+                work[i] = [x - f * y if y else x
+                           for x, y in zip(work[i], prow)]
         pivots.append(col)
         rank += 1
-    return work[:rank], pivots
+    return work[:rank], pivots, scale
+
+
+def rref(rows):
+    """Reduced row echelon form of a list of GaussRational row-lists.
+
+    Returns (reduced_rows, pivot_columns); zero rows are dropped.
+    """
+    return _eliminate(rows)[:2]
 
 
 def rank(m: ExactMatrix) -> int:
@@ -260,31 +277,11 @@ def kernel_basis(m: ExactMatrix):
 
 
 def det(m: ExactMatrix) -> GaussRational:
-    """Exact determinant via elimination with division pivoting."""
+    """Exact determinant: the signed product of the elimination pivots."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    work = [list(r) for r in m.entries]
-    result = GR_ONE
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            return GR_ZERO
-        if sel != col:
-            work[col], work[sel] = work[sel], work[col]
-            result = -result
-        piv = work[col][col]
-        result = result * piv
-        inv = piv.inverse()
-        for i in range(col + 1, n):
-            if work[i][col]:
-                f = work[i][col] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return result
+    _, pivots, scale = _eliminate(m.entries)
+    return scale if len(pivots) == m.rows else GR_ZERO
 
 
 def minor(m: ExactMatrix, rowset, colset) -> GaussRational:
@@ -299,10 +296,6 @@ def minor(m: ExactMatrix, rowset, colset) -> GaussRational:
     for j in colset:
         if not 0 <= j < m.cols:
             raise IndexError(f"column index {j} out of range")
-    sub = ExactMatrix([[m.entries[i][j] for j in colset] for i in rowset])
-    return det(sub)
-
-
-def matvec(m: ExactMatrix, v):
-    return tuple(sum((m.entries[i][j] * v[j] for j in range(m.cols)), GR_ZERO)
-                 for i in range(m.rows))
+    _, pivots, scale = _eliminate([[m.entries[i][j] for j in colset]
+                                   for i in rowset])
+    return scale if len(pivots) == len(rowset) else GR_ZERO

@@ -42,14 +42,6 @@ def sing_complex_to_dict(sc: SingComplex) -> dict:
             "cells": cells, "intersections": inters}
 
 
-def polytope_to_dict(p: PolytopePk) -> dict:
-    return {"k": p.k,
-            "vertices": [{"label": lbl, "coords": list(coords)}
-                         for lbl, coords in p.vertices],
-            "facets": [sorted(f) for f in
-                       sorted(p.facets, key=sorted)]}
-
-
 def complex_to_off(K: ComplexKnm) -> str:
     """Cells of a one- or two-dimensional complex as an OFF face list."""
     if K.n not in (2, 3):

@@ -118,6 +118,26 @@ def test_zero_denominator_is_validation_error(capsys, tmp_path):
     assert "zero denominator" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("n, coeff", [
+    (2.7, 1),
+    (True, 1),
+    ("2", 1),
+    (2, True),
+    (2, 1.0),
+    (2, [True, 1, 0, 1]),
+    (2, [1, 1, 0, True]),
+    (2, [1.5, 1, 0, 1]),
+])
+def test_non_integer_ideal_values_are_rejected(n, coeff, capsys, tmp_path):
+    data = {"n": n, "generators": [
+        {"constant": 0, "branches": [[coeff], [1]]}]}
+    assert main(["tangent", "--ideal", ideal_file(tmp_path, data)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_not_origin_supported_is_validation_error(capsys, tmp_path):
     data = {"n": 2, "generators": [
         {"constant": 0, "branches": [[1, -1], []]},
@@ -242,14 +262,6 @@ def test_off_format_for_square():
     assert lines[2] == "4 4 0"
 
 
-def test_polytope_json_export():
-    from hilbfold.export import polytope_to_dict
-    data = polytope_to_dict(toric_polytope(3))
-    assert len(data["vertices"]) == 6
-    assert len(data["facets"]) == 8
-    assert json.loads(dict_to_json(data)) == data
-
-
 # -- rejected input ---------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -273,6 +285,7 @@ def test_flags_of_other_verbs_are_rejected(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["count", "-n", "0", "-m", "3"],
+    ["count", "--multi", "3,3", "-m", "-2"],
     ["local", "-n", "3", "-k", "5"],
     ["local", "-n", "2", "-k", "3", "--u", "2,2"],
     ["local", "-n", "3", "-k", "5", "--format", "off"],
