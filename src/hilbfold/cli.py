@@ -50,6 +50,9 @@ def load_ideal(path):
             raise CliError(f"malformed ideal file: n = {n!r} is not an integer")
         gens = []
         for g in data["generators"]:
+            if not isinstance(g, dict):
+                raise CliError(f"malformed ideal file: generator {g!r} "
+                               "is not an object")
             constant = _parse_coeff(g.get("constant", 0))
             branches = [[_parse_coeff(c) for c in br] for br in g["branches"]]
             gens.append(SeparatedPoly(n, constant, branches))
@@ -303,7 +306,12 @@ FLAGS = {
     "--u": dict(type=str, help="comma-separated degree vector"),
     "--ideal": dict(type=str, help="path to an ideal JSON file"),
     "--json": dict(action="store_true"),
-    "--strict": dict(action="store_true"),
+    "--strict": dict(action="store_true",
+                     help="exit 3 on a failed check or on a count that "
+                          "disagrees with its closed form; without it the "
+                          "failure is only reported, as a FAIL row (a "
+                          "failed moment gluing sweep included) or as a "
+                          "flagged count, and the exit code is 0"),
     "--out": dict(type=str),
     "--format": dict(help="output format"),
     "--field-prime": dict(type=int, choices=[2, 3]),

@@ -6,9 +6,16 @@ a, b.  A value is stored as an integer triple (a, b, d) meaning
 (a + b*i)/d with d > 0 and gcd(a, b, d) = 1; this is noticeably faster
 than a pair of Fractions in elimination.
 
+Every result is made by one normalising constructor, ``_make``, from
+integers whose denominator is already positive: it divides out
+gcd(a, b, d) and fills the slots directly.  The public constructor keeps
+its type and sign checks for values arriving from outside the arithmetic.
+
 One Gauss-Jordan loop, ``_eliminate``, serves every entry point: ``rref``,
 ``rank``, ``kernel_basis``, ``det`` and ``minor``.  The matrices met here
 are sparse, so the loop skips every update whose pivot-row entry is zero.
+Each remaining update x - f*y is one ``_make`` of integer expressions, so
+one normalisation per updated entry.
 
 No floating point is used anywhere in this module.
 """
@@ -20,29 +27,28 @@ from math import gcd
 
 
 class GaussRational:
-    """A Gaussian rational (a + b*i)/d in lowest terms with d > 0."""
+    """A Gaussian rational (a + b*i)/d in lowest terms with d > 0.
+
+    ``GaussRational(a, b=0, d=1)`` takes integers, or a single Fraction or
+    GaussRational as ``a``; use ``from_fractions`` for two Fraction parts.
+    """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a, b=0, d=1):
-        if isinstance(a, GaussRational):
-            a, b, d = a.a, a.b, a.d
-        elif isinstance(a, Fraction):
-            a, b, d = a.numerator, b, a.denominator
-            if isinstance(b, Fraction):
-                raise TypeError("use from_fractions for two Fraction parts")
+    def __new__(cls, a, b=0, d=1):
+        if not isinstance(a, int):
+            if isinstance(a, (GaussRational, Fraction)) and (b != 0 or d != 1):
+                raise TypeError(f"GaussRational({type(a).__name__}, b, d) "
+                                "takes no b or d; use from_fractions")
+            if isinstance(a, GaussRational):
+                return a
+            if isinstance(a, Fraction):
+                a, d = a.numerator, a.denominator
         if d == 0:
             raise ZeroDivisionError("zero denominator")
         if d < 0:
             a, b, d = -a, -b, -d
-        g = gcd(gcd(abs(a), abs(b)), d)
-        if g > 1:
-            a //= g
-            b //= g
-            d //= g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        return _make(a, b, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
@@ -52,8 +58,8 @@ class GaussRational:
         re = Fraction(re)
         im = Fraction(im)
         d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-        return GaussRational(re.numerator * (d // re.denominator),
-                             im.numerator * (d // im.denominator), d)
+        return _make(re.numerator * (d // re.denominator),
+                     im.numerator * (d // im.denominator), d)
 
     @property
     def re(self) -> Fraction:
@@ -67,43 +73,52 @@ class GaussRational:
         return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not GaussRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return GaussRational(self.a * other.d + other.a * self.d,
-                             self.b * other.d + other.b * self.d,
-                             self.d * other.d)
+        if other.__class__ is not GaussRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _make(self.a * other.d + other.a * self.d,
+                     self.b * other.d + other.b * self.d,
+                     self.d * other.d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussRational(-self.a, -self.b, self.d)
+        return _make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not GaussRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _make(self.a * other.d - other.a * self.d,
+                     self.b * other.d - other.b * self.d,
+                     self.d * other.d)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussRational(self.a * other.a - self.b * other.b,
-                             self.a * other.b + self.b * other.a,
-                             self.d * other.d)
+        return other - self
+
+    def __mul__(self, other):
+        if other.__class__ is not GaussRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _make(self.a * other.a - self.b * other.b,
+                     self.a * other.b + self.b * other.a,
+                     self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -111,19 +126,23 @@ class GaussRational:
         n = self.a * self.a + self.b * self.b
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return GaussRational(self.a * self.d, -self.b * self.d, n)
+        return _make(self.a * self.d, -self.b * self.d, n)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not GaussRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.a, -self.b, self.d)
+        return _make(self.a, -self.b, self.d)
 
     def norm_sq(self) -> Fraction:
         """|q|^2 = re^2 + im^2, an exact nonnegative rational."""
@@ -141,13 +160,37 @@ class GaussRational:
         return f"{Fraction(self.a, self.d)}{sign}{Fraction(abs(self.b), self.d)}i"
 
 
+_new = object.__new__
+_set_a = GaussRational.a.__set__
+_set_b = GaussRational.b.__set__
+_set_d = GaussRational.d.__set__
+
+
+def _make(a, b, d):
+    """The GaussRational (a + b*i)/d from integers with d > 0.
+
+    The one place a value is brought to lowest terms: every operation
+    builds its result here, past the public constructor's type checks.
+    """
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    x = _new(GaussRational)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
 def _coerce(x):
     if isinstance(x, GaussRational):
         return x
     if isinstance(x, int):
-        return GaussRational(x)
+        return _make(x, 0, 1)
     if isinstance(x, Fraction):
-        return GaussRational(x.numerator, 0, x.denominator)
+        return _make(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
@@ -216,6 +259,9 @@ def _eliminate(rows):
     (reduced_rows, pivot_columns, scale) with zero rows dropped, where
     scale is the product of the pivots before normalisation, negated for
     each row swap: the determinant when the rows are square of full rank.
+
+    The scans test an entry for zero by its slots, not by ``bool``: they
+    visit most entries, and a call to ``__bool__`` costs more than the test.
     """
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
@@ -225,7 +271,8 @@ def _eliminate(rows):
     for col in range(ncols):
         sel = None
         for i in range(rank, len(work)):
-            if work[i][col]:
+            x = work[i][col]
+            if x.a or x.b:
                 sel = i
                 break
         if sel is None:
@@ -236,12 +283,25 @@ def _eliminate(rows):
         piv = work[rank][col]
         scale = scale * piv
         inv = piv.inverse()
-        prow = work[rank] = [x * inv if x else x for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y if y else x
-                           for x, y in zip(work[i], prow)]
+        prow = work[rank]
+        nonzero = []
+        for j, y in enumerate(prow):
+            if y.a or y.b:
+                y = prow[j] = y * inv
+                nonzero.append((j, y.a, y.b, y.d))
+        for i, row in enumerate(work):
+            f = row[col]
+            if i == rank or not (f.a or f.b):
+                continue
+            fa, fb, fd = f.a, f.b, f.d
+            for j, ya, yb, yd in nonzero:
+                # x - f*y over the common denominator x.d * f.d * y.d
+                x = row[j]
+                xd = x.d
+                e = fd * yd
+                row[j] = _make(x.a * e - (fa * ya - fb * yb) * xd,
+                               x.b * e - (fa * yb + fb * ya) * xd,
+                               xd * e)
         pivots.append(col)
         rank += 1
     return work[:rank], pivots, scale

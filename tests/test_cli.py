@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hilbfold
 
@@ -106,8 +110,9 @@ def test_gaussian_coefficients_accepted(capsys, tmp_path):
 
 def test_bad_ideal_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["classify", "--ideal", str(path)]) == 2
+    for text in ("{not json", '{"n": 2, "generators": [[1, 1, 0, 1]]}'):
+        path.write_text(text)
+        assert main(["classify", "--ideal", str(path)]) == 2
 
 
 def test_zero_denominator_is_validation_error(capsys, tmp_path):
@@ -143,6 +148,71 @@ def test_not_origin_supported_is_validation_error(capsys, tmp_path):
         {"constant": 0, "branches": [[1, -1], []]},
         {"constant": 0, "branches": [[], [1]]}]}
     assert main(["classify", "--ideal", ideal_file(tmp_path, data)]) == 2
+
+
+_SMALL = st.integers(-3, 3)
+_HUGE = st.integers(-10 ** 40, 10 ** 40)
+_DENOMINATOR = st.sampled_from([1, 2, -1, -3, 10 ** 40 + 1, 0])
+_COEFF = st.one_of(_SMALL, st.tuples(_SMALL, _DENOMINATOR, _SMALL,
+                                     _DENOMINATOR).map(list), _HUGE)
+_BRANCH = st.one_of(  # a monomial x^k keeps the ideal at the origin
+    st.tuples(st.integers(0, 2), _COEFF).map(lambda t: [0] * t[0] + [t[1]]),
+    st.lists(_COEFF, min_size=1, max_size=3))
+_WRONG = st.one_of(st.none(), st.booleans(), st.floats(-4, 4),
+                   st.text(max_size=2),
+                   st.dictionaries(st.text(max_size=1), _SMALL, max_size=1),
+                   st.lists(st.one_of(_SMALL, st.none()), max_size=5))
+
+
+@st.composite
+def _ideal_json(draw):
+    """An ideal file with n from 1 to 3 and integer or Gaussian
+    coefficients, some of them huge or with a zero or negative
+    denominator; two files in three are then given one flaw."""
+    n = draw(st.integers(1, 3))
+    gens = [{"constant": 0, "branches": [draw(_BRANCH) for _ in range(n)]}
+            for _ in range(draw(st.integers(1, 3)))]
+    data = {"n": n, "generators": gens}
+    gen = draw(st.sampled_from(gens))
+    flaw = draw(st.sampled_from(["none", "none", "none", "n", "constant",
+                                 "coefficient", "branches", "generator",
+                                 "key", "file"]))
+    if flaw == "n":
+        data["n"] = draw(st.one_of(_HUGE, _WRONG, st.integers(-2, 0)))
+    elif flaw == "constant":
+        gen["constant"] = draw(st.one_of(_COEFF, _WRONG))
+    elif flaw == "coefficient":
+        draw(st.sampled_from(gen["branches"])).append(draw(_WRONG))
+    elif flaw == "branches":
+        gen["branches"] = draw(st.one_of(_COEFF, _WRONG,
+                                         st.lists(st.lists(_COEFF))))
+    elif flaw == "generator":
+        gens.insert(draw(st.integers(0, len(gens))),
+                    draw(st.one_of(_COEFF, _WRONG)))
+    elif flaw == "key":
+        del data[draw(st.sampled_from(["n", "generators"]))]
+    elif flaw == "file":
+        data = draw(st.one_of(_COEFF, _WRONG))
+    return data
+
+
+@pytest.mark.parametrize("verb", ["classify", "moment", "tangent"])
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(data=_ideal_json())
+def test_random_ideal_files_exit_cleanly(verb, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ideal.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([verb, "--json", "--ideal", path])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        json.loads(out.getvalue())
+    else:
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_local_text(capsys):

@@ -1,5 +1,7 @@
 import itertools
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +14,33 @@ def test_lowest_terms_and_sign():
     g = GaussRational(2, 4, -6)
     assert (g.a, g.b, g.d) == (-1, -2, 3)
     assert g.re == Fraction(-1, 3) and g.im == Fraction(-2, 3)
+
+
+@pytest.mark.parametrize("args", [(Fraction(1, 2), 1),
+                                  (Fraction(1, 2), 0, 3),
+                                  (Fraction(1, 2), 0, -1),
+                                  (GaussRational(1, 2), 0, 3)])
+def test_one_part_constructor_rejects_b_and_d(args):
+    with pytest.raises(TypeError, match="from_fractions"):
+        GaussRational(*args)
+
+
+def test_one_part_constructor():
+    assert GaussRational(Fraction(-3, 6)) == GaussRational(-1, 0, 2)
+    g = GaussRational(1, -2, 3)
+    assert GaussRational(g) == g
+    assert GaussRational.from_fractions(Fraction(1, 2), 1) == \
+        GaussRational(1, 2, 2)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_float_operand_is_refused(op):
+    g = GaussRational(1, 1)
+    with pytest.raises(TypeError):
+        op(0.5, g)
+    with pytest.raises(TypeError):
+        op(g, 0.5)
 
 
 def test_arithmetic_identities():
@@ -237,3 +266,146 @@ def test_minor_matches_leibniz():
         want = _leibniz([[m[i, j] for j in colset] for i in rowset])
         assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
 
+
+
+# -- scalars against an independent reference: (re, im) pairs of Fractions ---
+
+def _pair(x):
+    """The reference value of an operand: a pair of Fractions."""
+    if isinstance(x, GaussRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def _p_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _p_sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _p_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _p_inv(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return x[0] / n, -x[1] / n
+
+
+def _p_div(x, y):
+    return _p_mul(x, _p_inv(y))
+
+
+def _p_zero(x):
+    return x == (0, 0)
+
+
+def _assert_canonical(got, want):
+    """got is in lowest terms with d > 0, has the reference value, hashes
+    like an equal value built another way, and cannot be changed."""
+    assert isinstance(got, GaussRational)
+    assert got.d > 0 and gcd(got.a, got.b, got.d) == 1
+    assert (got.re, got.im) == want
+    twin = GaussRational.from_fractions(*want)
+    assert got == twin and hash(got) == hash(twin)
+    with pytest.raises(AttributeError):
+        got.a = 0
+
+
+def _reference_operand(rng):
+    """An int, a Fraction or a GaussRational: zero, small, large, or with
+    a denominator that cancels against the other operand's."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.choice((0, GR_ZERO, Fraction(0)))
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6, 12)))
+    big = 10 ** rng.randint(20, 40)
+    parts = [Fraction(rng.randint(-big, big) if kind == 3 else
+                      rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12)))
+             for _ in range(2)]
+    if kind == 4:
+        parts[1] = Fraction(0)
+    return GaussRational.from_fractions(*parts)
+
+
+def test_scalar_operators_match_fraction_pairs():
+    rng = rng_for("scalar-fraction-pairs")
+    ops = [(operator.add, _p_add), (operator.sub, _p_sub),
+           (operator.mul, _p_mul), (operator.truediv, _p_div)]
+    for _ in range(3000):
+        x, y = _reference_operand(rng), _reference_operand(rng)
+        if not isinstance(x, GaussRational) and \
+                not isinstance(y, GaussRational):
+            y = GaussRational(y)  # at least one side is a GaussRational
+        px, py = _pair(x), _pair(y)
+        for op, ref in ops:
+            if op is operator.truediv and _p_zero(py):
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            _assert_canonical(op(x, y), ref(px, py))
+        g = x if isinstance(x, GaussRational) else y
+        pg = _pair(g)
+        _assert_canonical(-g, (-pg[0], -pg[1]))
+        _assert_canonical(g.conjugate(), (pg[0], -pg[1]))
+        if _p_zero(pg):
+            with pytest.raises(ZeroDivisionError):
+                g.inverse()
+        else:
+            _assert_canonical(g.inverse(), _p_inv(pg))
+
+
+def _pair_rref(rows):
+    """Reduced row echelon form over (re, im) pairs, zero rows dropped."""
+    work = [list(r) for r in rows]
+    out, pivots = [], []
+    for col in range(len(work[0]) if work else 0):
+        sel = next((r for r in work if not _p_zero(r[col])), None)
+        if sel is None:
+            continue
+        work.remove(sel)
+        inv = _p_inv(sel[col])
+        sel = [_p_mul(x, inv) for x in sel]
+        work = [[_p_sub(x, _p_mul(r[col], y)) for x, y in zip(r, sel)]
+                for r in work]
+        out = [[_p_sub(x, _p_mul(r[col], y)) for x, y in zip(r, sel)]
+               for r in out] + [sel]
+        pivots.append(col)
+    return out, pivots
+
+
+def _pair_det(rows):
+    total = (Fraction(0), Fraction(0))
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2)
+                         if a > b)
+        term = (Fraction((-1) ** inversions), Fraction(0))
+        for i, j in enumerate(perm):
+            term = _p_mul(term, rows[i][j])
+        total = _p_add(total, term)
+    return total
+
+
+def test_rref_and_det_match_fraction_pairs():
+    rng = rng_for("rref-fraction-pairs")
+    for _ in range(300):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        rows = _random_rows(rng, r, c, rng.choice((0.3, 0.6, 1.0)),
+                            rng.random() < 0.5)
+        if r > 1 and rng.random() < 0.3:
+            rows[-1] = list(rows[0])
+        pairs = [[_pair(x) for x in row] for row in rows]
+        got_rows, got_pivots = rref(rows)
+        want_rows, want_pivots = _pair_rref(pairs)
+        assert got_pivots == want_pivots
+        assert len(got_rows) == len(want_rows)
+        for got_row, want_row in zip(got_rows, want_rows):
+            for got, want in zip(got_row, want_row):
+                _assert_canonical(got, want)
+        if r == c:
+            _assert_canonical(det(ExactMatrix(rows)), _pair_det(pairs))
