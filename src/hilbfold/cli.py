@@ -197,7 +197,11 @@ def _cmd_tangent(args):
 
 
 def _cmd_classify(args):
-    _, ideal = _normalized_from_file(args)
+    ctx, gens = load_ideal(args.ideal)
+    if ctx.n < 2:
+        raise CliError("classify needs n >= 2: a one-axis curve is smooth, "
+                       "so every point of its Hilbert scheme is smooth")
+    ideal = normalize_punctual(ctx, gens)
     verdict = is_singular_point(ideal)
     smooth = is_smoothable(ideal)
     data = {"colength": ideal.colength(), "l": ideal.l, "u": list(ideal.u),

@@ -53,6 +53,12 @@ class GaussRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GaussRational is immutable")
+
+    def __reduce__(self):
+        return GaussRational, (self.a, self.b, self.d)
+
     @staticmethod
     def from_fractions(re: Fraction, im: Fraction = Fraction(0)) -> "GaussRational":
         re = Fraction(re)
@@ -221,6 +227,12 @@ class ExactMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        return ExactMatrix, (self.entries,)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":

@@ -14,16 +14,26 @@ from .localmodel import PolytopePk, SingComplex
 
 
 def complex_to_dict(K: ComplexKnm) -> dict:
+    """Cells, shared faces and meeting pairs, read from K.meetings().
+
+    A face is keyed by its lowest corner (shift_i plus 1 on s2) and its
+    pinned axes.  Every vertex lies in the slice of sum m - 1, and each free
+    axis of a saturated face takes both of its values, so the key names the
+    vertex set; the face is described by the first pair that meets in it."""
     cells = [{"l": c.l, "shift": list(c.shift)} for c in K.cells]
     face_list = []
     face_index = {}
     adjacency = []
-    for (i, j), face in sorted(K.adjacency.items()):
-        key = face.vertices()
+    for i, j, s1, s2 in K.meetings():
+        cell = K.cells[i]
+        corner = list(cell.shift)
+        for k in s2:
+            corner[k] += 1
+        key = (tuple(corner), tuple(sorted(s1 + s2)))
         if key not in face_index:
             face_index[key] = len(face_list)
-            face_list.append({"s1": sorted(face.s1), "s2": sorted(face.s2),
-                              "l": face.l, "shift": list(face.shift)})
+            face_list.append({"s1": list(s1), "s2": list(s2),
+                              "l": cell.l, "shift": list(cell.shift)})
         adjacency.append([i, j, face_index[key]])
     return {"n": K.n, "m": K.m, "cells": cells,
             "faces": face_list, "adjacency": adjacency}

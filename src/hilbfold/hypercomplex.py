@@ -192,8 +192,10 @@ class ComplexKnm:
     """The subdivision of (m-1) * simplex by translated hypersimplices.
 
     Immutable: n, m and cells are read-only, so one instance can be shared
-    by every caller (build_complex memoises it).  Adjacency is derived from
-    the cells on each access and never stored."""
+    by every caller (build_complex memoises it).  Adjacency is never stored:
+    meetings() is the one neighbour walk, yielding each meeting pair with
+    its face descriptor, so the export reads it without building Face
+    objects; adjacency is a Face-valued view of the same walk."""
 
     __slots__ = ("_n", "_m", "_cells", "_index")
 
@@ -235,10 +237,11 @@ class ComplexKnm:
                 cells.append(HyperCell(n, l, shift))
         return cells
 
-    @property
-    def adjacency(self):
-        """Read-only map (i, j) -> common face of cells i < j, for every
-        intersecting pair.
+    def meetings(self):
+        """Every pair of meeting cells i < j with their common face, as
+        (i, j, s1, s2) in (i, j) order: the face of cell i pinning s1 to
+        shift_i and s2 to shift_i + 1, saturated as Face saturates it, with
+        s1 and s2 as sorted tuples.
 
         Two cells meet exactly when their shifts differ by some d in
         {-1,0,1}^n with s1 = {d = 1} of size <= n - l and s2 = {d = -1} of
@@ -246,7 +249,6 @@ class ComplexKnm:
         neighbours shift - d instead of testing every other cell.  Only
         |s1| >= |s2| can give a later cell, as cells sort by l first."""
         n, cells, index = self.n, self.cells, self._index
-        out = {}
         for i, cell in enumerate(cells):
             l, shift = cell.l, cell.shift
             support = [k for k in range(n) if shift[k]]
@@ -263,11 +265,29 @@ class ComplexKnm:
                             for k in s2:
                                 up[k] += 1
                             j = index.get((l + a - b, tuple(up)))
-                            if j is not None and j > i:
-                                later.append(j)
-            for j in sorted(later):
-                out[(i, j)] = intersect_cells(cell, cells[j])
-        return MappingProxyType(out)
+                            if j is None or j <= i:
+                                continue
+                            # saturate: free axes all at the bottom, or
+                            # all at the top, are pinned there
+                            t1, t2, free = s1, s2, n - a - b
+                            if free and l == b:
+                                t1 = tuple(k for k in range(n) if k not in s2)
+                            elif free and l - b == free:
+                                t2 = tuple(k for k in range(n) if k not in s1)
+                            later.append((j, t1, t2))
+            later.sort()
+            for j, s1, s2 in later:
+                yield i, j, s1, s2
+
+    @property
+    def adjacency(self):
+        """Read-only map (i, j) -> common Face of cells i < j, for every
+        meeting pair: a view of meetings()."""
+        cells = self.cells
+        return MappingProxyType({
+            (i, j): Face(self.n, cells[i].l, cells[i].shift,
+                         frozenset(s1), frozenset(s2))
+            for i, j, s1, s2 in self.meetings()})
 
     @property
     def is_point(self):
@@ -341,11 +361,20 @@ def compositions(total, parts):
 
 @lru_cache(maxsize=None)
 def build_complex(n: int, m: int) -> ComplexKnm:
-    return ComplexKnm(n, m)
+    """K(n, m), built once; its enumerated cells are counted against the
+    closed form."""
+    K = ComplexKnm(n, m)
+    expected = count_maximal_cells(n, m)
+    if len(K.cells) != expected:
+        raise InternalDiagnosticError(
+            f"K({n},{m}) has {len(K.cells)} cells; the closed cell count "
+            f"is {expected}")
+    return K
 
 
 def count_maximal_cells(n: int, m: int) -> int:
-    """Closed-form cell count, verified against enumeration in tests."""
+    """Closed-form cell count, checked against the enumeration by
+    build_complex."""
     if n == 1 or m == 1:
         return 0
     return sum(comb(m + n - l - 2, n - 1) for l in range(1, min(n - 1, m - 1) + 1))

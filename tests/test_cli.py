@@ -377,6 +377,38 @@ def test_count_rejects_two_mode_flags(capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+ONE_AXIS_IDEAL = {"n": 1, "generators": [
+    {"constant": 0, "branches": [[0, -1]]},
+]}
+
+
+def test_one_axis_ideal(capsys, tmp_path):
+    # <x^2> on a curve: classify refuses n = 1, the other verbs answer
+    path = ideal_file(tmp_path, ONE_AXIS_IDEAL)
+    assert main(["classify", "--ideal", path]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: classify needs n >= 2")
+    assert "smooth" in captured.err and len(captured.err.splitlines()) == 1
+    rc, out = run(capsys, ["moment", "--ideal", path, "--json"])
+    assert rc == 0 and json.loads(out) == {"colength": 2, "moment": ["1"]}
+    rc, out = run(capsys, ["tangent", "--ideal", path, "--json"])
+    assert rc == 0 and json.loads(out) == {"colength": 2, "tangent_dim": 2}
+
+
+def test_cell_count_disagreement_exits_3(capsys, monkeypatch):
+    from hilbfold import hypercomplex
+    monkeypatch.setattr(hypercomplex, "count_maximal_cells",
+                        lambda n, m: 0)
+    hypercomplex.build_complex.cache_clear()
+    assert main(["complex", "-n", "3", "-m", "5"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("internal diagnostic failure: ")
+    assert "cell count" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_cross_check_disagreement_exits_3(capsys, tmp_path, monkeypatch):
     from hilbfold import hypercomplex
     closed = hypercomplex._smoothable_closed

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import operator
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -31,6 +33,32 @@ def test_one_part_constructor():
     assert GaussRational(g) == g
     assert GaussRational.from_fractions(Fraction(1, 2), 1) == \
         GaussRational(1, 2, 2)
+
+
+COPIES = [copy.copy, copy.deepcopy,
+          lambda x: pickle.loads(pickle.dumps(x))]
+
+
+@pytest.mark.parametrize("clone", COPIES)
+def test_copy_and_pickle_round_trip(clone):
+    g = GaussRational(1, 2, 3)
+    h = clone(g)
+    assert type(h) is GaussRational and h == g
+    assert (h.a, h.b, h.d) == (1, 2, 3) and hash(h) == hash(g)
+    M = ExactMatrix([[g, 1], [GaussRational(0, -1), Fraction(5, 7)]])
+    N = clone(M)
+    assert type(N) is ExactMatrix and N == M
+    assert (N.rows, N.cols) == (2, 2) and hash(N) == hash(M)
+
+
+def test_attributes_cannot_be_deleted():
+    g = GaussRational(1, 2, 3)
+    M = ExactMatrix([[g]])
+    for obj, attr in [(g, "a"), (g, "b"), (g, "d"), (M, "rows"),
+                      (M, "cols"), (M, "entries")]:
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(obj, attr)
+    assert (g.a, g.b, g.d) == (1, 2, 3) and M.rows == 1 and M[0, 0] == g
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,

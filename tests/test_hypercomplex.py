@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbfold.export import complex_to_dict
 from hilbfold.hypercomplex import (ComplexKnm, Face, HyperCell, build_complex,
                                    cell_as_face, cells_at_vertex,
                                    count_maximal_cells, faces_of,
@@ -97,7 +98,9 @@ def test_pairwise_intersections_are_common_faces():
 
 
 def test_adjacency_equals_all_pairs_intersection():
-    # the neighbour lookup against the O(C^2) definition it replaces
+    # the neighbour walk, and the export read from it, against the O(C^2)
+    # definition: faces deduplicated by vertex set, each described by the
+    # first pair that meets in it
     for n in range(2, 7):
         for m in range(2, 9 if n < 6 else 7):
             K = build_complex(n, m)
@@ -108,10 +111,21 @@ def test_adjacency_equals_all_pairs_intersection():
                     expected[(i, j)] = face
             adjacency = K.adjacency
             assert list(adjacency) == list(expected), (n, m)
+            faces, face_index, pairs = [], {}, []
             for key, face in expected.items():
                 got = adjacency[key]
                 assert (got.vertices(), got.s1, got.s2, got.shift) == \
                     (face.vertices(), face.s1, face.s2, face.shift)
+                if face.vertices() not in face_index:
+                    face_index[face.vertices()] = len(faces)
+                    faces.append({"s1": sorted(face.s1),
+                                  "s2": sorted(face.s2), "l": face.l,
+                                  "shift": list(face.shift)})
+                pairs.append([*key, face_index[face.vertices()]])
+            cells = [{"l": c.l, "shift": list(c.shift)} for c in K.cells]
+            assert complex_to_dict(K) == {
+                "n": n, "m": m, "cells": cells, "faces": faces,
+                "adjacency": pairs}, (n, m)
 
 
 def test_small_difference_can_still_be_disjoint():
