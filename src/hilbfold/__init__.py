@@ -2,10 +2,9 @@
 curves with rational n-fold singularities."""
 
 from .exact import ExactMatrix, GaussRational, kernel_basis, minor, rank
-from .foldring import (FoldRingCtx, PunctualIdeal, SchemePoint, SeparatedPoly,
-                       colength, is_singular_point, is_smoothable,
-                       normalize_punctual, syzygies, tangent_dim,
-                       tangent_dim_scheme)
+from .foldring import (FoldRingCtx, PunctualIdeal, SeparatedPoly, colength,
+                       is_singular_point, is_smoothable, normalize_punctual,
+                       tangent_dim)
 from .hypercomplex import (ComplexKnm, Face, HyperCell, build_complex,
                            cells_at_vertex, faces_of, intersect_cells,
                            is_singular_face, is_smoothable_face,

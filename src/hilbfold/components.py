@@ -133,9 +133,6 @@ class GluingGraph:
     nodes: tuple  # GrassComponents, sorted
     edges: dict = field(compare=False)  # (i, j) -> IntersectionDescriptor
 
-    def nodes_with_rows(self, l):
-        return [c for c in self.nodes if c.l == l]
-
 
 def _gluing_graph(nodes) -> GluingGraph:
     nodes = tuple(nodes)

@@ -154,9 +154,6 @@ class GaussRational:
         """|q|^2 = re^2 + im^2, an exact nonnegative rational."""
         return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __repr__(self):
         if self.b == 0:
             return f"{Fraction(self.a, self.d)}"

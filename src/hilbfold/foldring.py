@@ -8,19 +8,19 @@ Ideals of finite colength supported at the origin admit a canonical matrix
 presentation: a degree vector u (one degree per branch) and a full-rank
 matrix A without zero columns, the generators being A * (x_1^{u_1}, ...,
 x_n^{u_n})^T.  normalize_punctual computes that canonical form by exact
-linear algebra on a degree-truncated piece of the ring; colength, syzygies,
-tangent spaces and the singular/smoothable verdicts are all built on top of
-the same truncated-span machinery.
+linear algebra on a degree-truncated piece of the ring; colength, tangent
+spaces and the singular/smoothable verdicts are all built on top of the same
+truncated-span machinery.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import (ExactMatrix, GaussRational, GR_ONE, GR_ZERO, as_gauss,
-                    kernel_basis, rref)
+                    rref)
 
 
 class NotOriginSupported(ValueError):
@@ -199,15 +199,6 @@ class _Truncation:
                 if c and s <= self.bounds[i]:
                     v[self.index[(i, s)]] = c
         return v
-
-    def poly_of(self, vec) -> SeparatedPoly:
-        branches = [[GR_ZERO] * self.bounds[i] for i in range(self.n)]
-        for idx, c in enumerate(vec):
-            if idx == 0 or not c:
-                continue
-            i, s = self.monomials[idx]
-            branches[i][s - 1] = c
-        return SeparatedPoly(self.n, vec[0], branches)
 
     def shift_vectors(self, include_unshifted=True):
         """Truncations of x_i^a * g; a = 0 rows only when requested."""
@@ -480,39 +471,8 @@ def normalize_punctual(ctx: FoldRingCtx, gens) -> PunctualIdeal:
 
 
 # --------------------------------------------------------------------------
-# Syzygies and tangent spaces.
+# Tangent spaces.
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Syzygy:
-    """coeff_j * x_{axis} * f_j + coeff_k * x_{axis} * f_k = 0."""
-
-    axis: int
-    j: int
-    k: int
-    coeff_j: GaussRational
-    coeff_k: GaussRational
-
-    def apply(self, gens, ctx: FoldRingCtx) -> SeparatedPoly:
-        x = ctx.axis_monomial(self.axis, 1)
-        return (x * gens[self.j]).scaled(self.coeff_j) + \
-               (x * gens[self.k]).scaled(self.coeff_k)
-
-
-def syzygies(ideal: PunctualIdeal):
-    """The n * C(l, 2) relations among the canonical generators.
-
-    For rows j < k and each axis i the relation is
-    A[k][i] * x_i * f_j - A[j][i] * x_i * f_k = 0; these generate the first
-    syzygy module of the canonical presentation.
-    """
-    ideal = ideal.pure_form()
-    out = []
-    for i in range(ideal.n):
-        for j, k in itertools.combinations(range(ideal.l), 2):
-            out.append(Syzygy(i, j, k, ideal.matrix[k, i], -ideal.matrix[j, i]))
-    return out
 
 
 class _QuotientRing:
@@ -570,8 +530,12 @@ def tangent_dim(ideal: PunctualIdeal, m: int | None = None) -> int:
     """Dimension of Hom(J, R/J), the tangent space at [J].
 
     Unknowns are the images of the canonical generators written in the
-    monomial basis of R/J (l*m of them); each syzygy imposes m linear
-    constraints; the answer is l*m minus the rank of the constraint system.
+    monomial basis of R/J (l*m of them).  For each axis i, with a = A[., i]
+    and p the first row where a_p != 0, the relations
+    a_j * x_i * f_p - a_p * x_i * f_j = 0 for j != p impose m linear
+    constraints each.  They span the relations of every other pair of rows:
+    syz(j, k) = (a_k/a_p) syz(p, j) - (a_j/a_p) syz(p, k).  The answer is
+    l*m minus the rank of the constraint system.
     """
     ideal = ideal.pure_form()
     if m is not None and ideal.colength() != m:
@@ -579,25 +543,25 @@ def tangent_dim(ideal: PunctualIdeal, m: int | None = None) -> int:
     quo = _QuotientRing(ideal)
     mdim = quo.m
     l = ideal.l
+    A = ideal.matrix
     rows = []
-    for syz in syzygies(ideal):
-        if not syz.coeff_j and not syz.coeff_k:
-            continue
-        mult = quo.mult_matrix(syz.axis)
+    for i in range(ideal.n):
+        a = [A[r, i] for r in range(l)]
+        p = next(r for r in range(l) if a[r])
+        mult = quo.mult_matrix(i)
         for out_coord in range(mdim):
-            row = [GR_ZERO] * (l * mdim)
-            nonzero = False
-            for b in range(mdim):
-                c = mult[b][out_coord]
-                if not c:
+            hits = [(b, mult[b][out_coord]) for b in range(mdim)
+                    if mult[b][out_coord]]
+            if not hits:
+                continue
+            for j in range(l):
+                if j == p:
                     continue
-                if syz.coeff_j:
-                    row[syz.j * mdim + b] = syz.coeff_j * c
-                    nonzero = True
-                if syz.coeff_k:
-                    row[syz.k * mdim + b] = syz.coeff_k * c
-                    nonzero = True
-            if nonzero:
+                row = [GR_ZERO] * (l * mdim)
+                for b, c in hits:
+                    if a[j]:
+                        row[p * mdim + b] = a[j] * c
+                    row[j * mdim + b] = -a[p] * c
                 rows.append(row)
     if not rows:
         return l * mdim
@@ -605,50 +569,29 @@ def tangent_dim(ideal: PunctualIdeal, m: int | None = None) -> int:
     return l * mdim - len(pivots)
 
 
-@dataclass(frozen=True)
-class SchemePoint:
-    """A finite subscheme: optional punctual part at the origin plus
-    smooth points given as (axis, nonzero coordinate, multiplicity)."""
-
-    punctual: PunctualIdeal | None
-    smooth_points: tuple = ()
-
-    def __post_init__(self):
-        for axis, coord, mult in self.smooth_points:
-            if not as_gauss(coord):
-                raise ValueError("smooth points must have nonzero coordinate")
-            if mult < 1:
-                raise ValueError("multiplicities are positive")
-
-    def total_length(self) -> int:
-        base = self.punctual.colength() if self.punctual else 0
-        return base + sum(mult for _, _, mult in self.smooth_points)
-
-
-def tangent_dim_scheme(z: SchemePoint) -> int:
-    """Tangent dimension is additive over the primary components; a
-    multiplicity-r point on a smooth branch is curvilinear and adds r."""
-    total = sum(mult for _, _, mult in z.smooth_points)
-    if z.punctual is not None:
-        total += tangent_dim(z.punctual)
-    return total
-
-
+@lru_cache(maxsize=None)
 def component_dimension(n: int, m: int, l: int) -> int:
     """Dimension of the unique component through a generic member of the
     (m, l) stratum: the smoothable component (dim m) when l = 1, else the
     Grassmannian family of dimension l(n-l) + m + l - 1 - n.
 
-    The two bookkeepings dim Gr(l, n) + (m - (n + 1 - l)) and
-    l(n-l) + m + l - 1 - n coincide; both are computed and compared.
+    For a nonempty stratum (m >= n + 1 - l) the formula is compared with the
+    tangent dimension at one generic member, a smooth point of the
+    component: degrees (m + l - n, 1, ..., 1) and Vandermonde rows
+    ((j + 1)^r)_j, whose maximal minors are all nonzero, so that no
+    canonical row is a monomial.
     """
     if l == 1:
         return m
-    a = l * (n - l) + (m + l - 1 - n)
-    b = l * (n - l) + (m - (n + 1 - l))
-    if a != b:
-        raise InternalDiagnosticError("component dimension bookkeepings disagree")
-    return a
+    dim = l * (n - l) + (m + l - 1 - n)
+    if m + l > n:
+        generic = PunctualIdeal(
+            FoldRingCtx(n), l, (m + l - n,) + (1,) * (n - 1),
+            ExactMatrix([[(j + 1) ** r for j in range(n)] for r in range(l)]))
+        if tangent_dim(generic) != dim:
+            raise InternalDiagnosticError(
+                "component dimension formula and generic tangent disagree")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -680,6 +623,12 @@ def is_singular_point(ideal: PunctualIdeal, m: int | None = None) -> SingularVer
         verdict = n >= 2
         return SingularVerdict(verdict, "length-one degenerate",
                                tangent_dim(ideal), 1)
+    if n == 1:
+        # the Hilbert scheme of points on a smooth curve is smooth of dim m
+        if tangent_dim(ideal) != mm:
+            raise InternalDiagnosticError(
+                f"tangent dimension on one axis is not the colength: {ideal}")
+        return SingularVerdict(False, "one axis: smooth curve", mm, mm)
 
     mon = ideal.monomial_rows()
     mon_axes = [axis for _, axis in mon]
@@ -698,7 +647,10 @@ def is_singular_point(ideal: PunctualIdeal, m: int | None = None) -> SingularVer
 
     tangent = tangent_dim(ideal)
     if high_mon:
-        by_tangent = True
+        from .moment import containing_presentations
+        by_tangent = tangent > max(
+            component_dimension(n, mm, l2)
+            for l2, _, _ in containing_presentations(ideal))
         expected = component_dimension(n, mm, ideal.l - 1)
     else:
         expected = component_dimension(n, mm, ideal.l)
@@ -714,15 +666,16 @@ def is_smoothable(ideal: PunctualIdeal) -> bool:
     """True when [J] is a limit of reduced points.
 
     Canonical-form criterion: at most one generator is non-monomial.  When
-    meaningful (colength >= 2) the verdict is cross-checked against the
-    smoothable-face test on the moment image inside the hypersimplicial
-    complex.
+    meaningful (colength >= 2 and at least two axes) the verdict is
+    cross-checked against the smoothable-face test on the moment image
+    inside the hypersimplicial complex.  On one axis every ideal is
+    smoothable: the points of a smooth curve form a smooth scheme.
     """
     pure = ideal.pure_form()
     non_mon = pure.l - len(pure.monomial_rows())
     verdict = non_mon <= 1
     m = pure.colength()
-    if m >= 2:
+    if m >= 2 and pure.n >= 2:
         from .hypercomplex import build_complex, is_smoothable_face
         from .moment import locate, moment_global
         complex_ = build_complex(pure.n, m)

@@ -452,9 +452,6 @@ class PolytopePk:
     vertices: tuple          # ((label, coords), ...)
     facets: tuple            # tuple of frozensets of labels
 
-    def coords_of(self):
-        return dict(self.vertices)
-
 
 def _pk_vertex_dictionary(k: int):
     verts = []
@@ -487,10 +484,10 @@ def toric_polytope(k: int) -> PolytopePk:
                 labels.add(f"a{i}" if sel == 0 else f"b{i}")
             facets.append(frozenset(labels))
     facets = tuple(sorted(set(facets), key=sorted))
-    if len(facets) != 2 ** k:
-        raise InternalDiagnosticError(
-            "facet formula did not produce 2^k facets")
     enumerated = _enumerate_facets(verts)
+    if len(enumerated) != 2 ** k:
+        raise InternalDiagnosticError(
+            "hyperplane enumeration did not find 2^k facets")
     if set(enumerated) != set(facets):
         raise InternalDiagnosticError(
             "facet formula disagrees with the hyperplane enumeration")
@@ -533,14 +530,15 @@ def _hyperplane_through(pts, subset):
 def unimodular_triangulation(p: PolytopePk):
     """The inductive simplicial subdivision: every simplex of the one-lower
     polytope is coned over the two new vertices.  Returns label tuples;
-    every simplex has lattice determinant +-1 and the count is 2^(k-1)."""
+    every simplex has lattice determinant +-1, and their count 2^(k-1) is
+    checked against the normalized volume."""
     coords = dict(p.vertices)
     simplices = [("a1", "b2", "a2"), ("b2", "a2", "b1")]
     for i in range(3, p.k + 1):
         simplices = [s + (f"a{i}",) for s in simplices] + \
                     [s + (f"b{i}",) for s in simplices]
-    if len(simplices) != 2 ** (p.k - 1):
-        raise InternalDiagnosticError("unexpected simplex count")
+    if len(simplices) != polytope_lattice_volume(p):
+        raise InternalDiagnosticError("simplex count is not the volume")
     for s in simplices:
         base, *rest = (coords[lbl] for lbl in s)
         edges = ExactMatrix([[a - b for a, b in zip(pt, base)] for pt in rest])

@@ -1,14 +1,15 @@
 """Moment maps: from punctual ideals to points of the dilated simplex.
 
-The map sends a subspace with Pluecker coordinates q_A to the |q_A|^2
-weighted average of the complementary indicator vectors e_{[n] - A},
-translated by u - 1.  Everything is exact: the scalars are Gaussian
-rationals, so the weights |q|^2 are honest rationals.
+The map sends a presentation (u, A) to u minus the Grassmannian moment of the
+row space of A, the |q_S|^2 weighted average of the indicator vectors e_S
+over its Pluecker coordinates q_S.  Everything is exact: the scalars are
+Gaussian rationals, so the weights |q|^2 are honest rationals.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +27,7 @@ class PluckerVector:
     coords: tuple  # ordered like itertools.combinations(range(n), l)
 
     def __post_init__(self):
-        expected = len(list(itertools.combinations(range(self.n), self.l)))
-        if len(self.coords) != expected:
+        if len(self.coords) != math.comb(self.n, self.l):
             raise ValueError("wrong number of Pluecker coordinates")
         if not any(self.coords):
             raise ValueError("all Pluecker coordinates vanish")
@@ -36,14 +36,18 @@ class PluckerVector:
         return zip(itertools.combinations(range(self.n), self.l), self.coords)
 
 
+def _plucker(n, l, matrix: ExactMatrix) -> PluckerVector:
+    """The maximal minors in axis order (rows as given, columns the chosen
+    axis subset)."""
+    return PluckerVector(l, n, tuple(
+        minor(matrix, range(l), cols)
+        for cols in itertools.combinations(range(n), l)))
+
+
 def plucker_of(ideal: PunctualIdeal) -> PluckerVector:
-    """Pluecker coordinates of the canonical generator matrix: the maximal
-    minors in axis order (rows as given, columns the chosen axis subset)."""
+    """Pluecker coordinates of the canonical generator matrix."""
     pure = ideal.pure_form()
-    mat = pure.matrix
-    coords = tuple(minor(mat, range(pure.l), cols)
-                   for cols in itertools.combinations(range(pure.n), pure.l))
-    return PluckerVector(pure.l, pure.n, coords)
+    return _plucker(pure.n, pure.l, pure.matrix)
 
 
 @dataclass(frozen=True)
@@ -75,24 +79,15 @@ def moment_grass(p: PluckerVector) -> MomentPoint:
 
 
 def _moment_of_presentation(n, l, u, matrix: ExactMatrix) -> MomentPoint:
-    total = Fraction(0)
-    acc = [Fraction(0)] * n
-    for cols in itertools.combinations(range(n), l):
-        w = minor(matrix, range(l), cols).norm_sq()
-        if not w:
-            continue
-        total += w
-        outside = set(range(n)) - set(cols)
-        for i in outside:
-            acc[i] += w
-    if not total:
-        raise ValueError("all Pluecker coordinates vanish")
-    return MomentPoint(tuple(acc[i] / total + u[i] - 1 for i in range(n)))
+    """u - 1 plus the weighted average of the complementary indicators
+    e_{[n] - S}, which is u minus the Grassmannian moment, since the weights
+    of the S missing i are the total less those of the S containing i."""
+    grass = moment_grass(_plucker(n, l, matrix))
+    return MomentPoint(tuple(u[i] - c for i, c in enumerate(grass)))
 
 
 def moment_component(ideal: PunctualIdeal, m: int | None = None) -> MomentPoint:
-    """Moment image computed on the ideal's own presentation: the weighted
-    average of complementary indicators, shifted by u - 1."""
+    """Moment image computed on the ideal's own presentation."""
     pure = ideal.pure_form()
     if m is not None and pure.colength() != m:
         raise ValueError(f"colength is {pure.colength()}, not {m}")

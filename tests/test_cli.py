@@ -421,6 +421,23 @@ def test_cross_check_disagreement_exits_3(capsys, tmp_path, monkeypatch):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_pure_power_tangent_mutation_exits_3(capsys, tmp_path, monkeypatch):
+    # a tangent dimension wrong only where a pure power of degree >= 2 is a
+    # minimal generator must still be caught
+    from hilbfold import foldring
+    original = foldring.tangent_dim
+
+    def wrong_on_pure_powers(ideal, m=None):
+        pure = ideal.pure_form()
+        if any(pure.u[axis] >= 2 for _, axis in pure.monomial_rows()):
+            return 0
+        return original(ideal, m)
+    monkeypatch.setattr(foldring, "tangent_dim", wrong_on_pure_powers)
+    path = ideal_file(tmp_path, VERTEX_IDEAL)
+    assert main(["classify", "--ideal", path]) == 3
+    assert capsys.readouterr().err.startswith("internal diagnostic failure: ")
+
+
 def test_local_dimension_bookkeeping_failure_exits_3(capsys):
     # the (2,1) origin_pair family fails translate_component's check
     assert main(["local", "-n", "2", "-k", "1", "--u", "2,1"]) == 3

@@ -2,14 +2,13 @@ import itertools
 
 import pytest
 
-from hilbfold.exact import ExactMatrix, GaussRational
+from hilbfold import foldring
+from hilbfold.exact import GR_ZERO, ExactMatrix, GaussRational, rref
 from hilbfold.foldring import (FoldRingCtx, InternalDiagnosticError,
                                NotFiniteColength, NotOriginSupported,
-                               PunctualIdeal, SchemePoint, SeparatedPoly,
-                               colength, component_dimension,
-                               is_singular_point, is_smoothable,
-                               normalize_punctual, syzygies, tangent_dim,
-                               tangent_dim_scheme)
+                               PunctualIdeal, SeparatedPoly, colength,
+                               component_dimension, is_singular_point,
+                               is_smoothable, normalize_punctual, tangent_dim)
 from hilbfold.hypercomplex import compositions
 from conftest import (generic_full_rank, ideal_from_matrix,
                       random_degree_vector, rng_for)
@@ -158,41 +157,6 @@ def test_colength_identity_invariant():
         assert ideal.colength() == sum(ideal.u) + 1 - ideal.l
 
 
-# -- syzygies ----------------------------------------------------------------
-
-def test_syzygies_principal_empty():
-    ideal = normalize_punctual(R2, [mono(R2, 0, 1) + mono(R2, 1, 1)])
-    assert syzygies(ideal) == []
-
-
-def test_syzygies_monomial_pair():
-    ideal = normalize_punctual(R2, [mono(R2, 0, 2), mono(R2, 1, 3)])
-    rows = syzygies(ideal)
-    assert len(rows) == 2
-    gens = ideal.generators()
-    for syz in rows:
-        assert syz.apply(gens, R2).is_zero()
-    # the axis-2 row reads x2 * f1 = 0
-    by_axis = {s.axis: s for s in rows}
-    assert by_axis[1].coeff_j == GaussRational(1)
-    assert by_axis[1].coeff_k == GaussRational(0)
-
-
-def test_syzygies_generic_annihilate():
-    rng = rng_for("syzygy-annihilate")
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        l = rng.randint(2, n)
-        u = random_degree_vector(rng, n, rng.randint(n, 7))
-        ctx = FoldRingCtx(n)
-        ideal = PunctualIdeal(ctx, l, u, generic_full_rank(rng, l, n))
-        rows = syzygies(ideal)
-        assert len(rows) == n * l * (l - 1) // 2
-        gens = ideal.generators()
-        for syz in rows:
-            assert syz.apply(gens, ctx).is_zero()
-
-
 # -- tangent spaces ----------------------------------------------------------
 
 def test_tangent_generic_plane():
@@ -226,6 +190,53 @@ def test_tangent_colength_mismatch():
     ideal = normalize_punctual(R2, [mono(R2, 0, 1) + mono(R2, 1, 1)])
     with pytest.raises(ValueError):
         tangent_dim(ideal, 5)
+
+
+def _tangent_dim_all_pairs(ideal):
+    """Reference: l*m minus the rank of the relations of every pair of rows,
+    A[k][i] * x_i * f_j - A[j][i] * x_i * f_k = 0 for j < k and each axis i."""
+    ideal = ideal.pure_form()
+    quo = foldring._QuotientRing(ideal)
+    mdim, l = quo.m, ideal.l
+    rows = []
+    for i in range(ideal.n):
+        mult = quo.mult_matrix(i)
+        for j, k in itertools.combinations(range(l), 2):
+            cj, ck = ideal.matrix[k, i], -ideal.matrix[j, i]
+            for out in range(mdim):
+                row = [GR_ZERO] * (l * mdim)
+                for b in range(mdim):
+                    if mult[b][out]:
+                        row[j * mdim + b] = cj * mult[b][out]
+                        row[k * mdim + b] = ck * mult[b][out]
+                if any(row):
+                    rows.append(row)
+    return l * mdim - (len(rref(rows)[1]) if rows else 0)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_tangent_first_row_pairs_match_all_pairs(gaussian):
+    """tangent_dim keeps, per axis i, only the pairs (p, j) with p the first
+    row where A[p][i] != 0; the rank must equal that of all n * C(l, 2)
+    relations, and every kept relation must annihilate the generators."""
+    rng = rng_for(f"tangent-all-pairs-{gaussian}")
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        l = rng.randint(2, n)
+        u = random_degree_vector(rng, n, rng.randint(n, n + 4))
+        ctx = FoldRingCtx(n)
+        ideal = ideal_from_matrix(ctx, u, generic_full_rank(
+            rng, l, n, rational_only=not gaussian)).pure_form()
+        assert tangent_dim(ideal) == _tangent_dim_all_pairs(ideal)
+        gens = ideal.generators()
+        for i in range(n):
+            a = [ideal.matrix[r, i] for r in range(ideal.l)]
+            p = next(r for r in range(ideal.l) if a[r])
+            x = ctx.axis_monomial(i, 1)
+            for j in range(ideal.l):
+                relation = (x * gens[p]).scaled(a[j]) - \
+                    (x * gens[j]).scaled(a[p])
+                assert relation.is_zero()
 
 
 def _generic_stratum_ideal(rng, n, m, l):
@@ -309,38 +320,16 @@ def test_component_dimension_two_bookkeepings():
                     l * (n - l) + (m - (n + 1 - l))
 
 
-# -- scheme points -----------------------------------------------------------
-
-def test_scheme_three_reduced_points():
-    z = SchemePoint(None, ((0, GaussRational(1), 1),
-                           (0, GaussRational(2), 1),
-                           (1, GaussRational(1), 1)))
-    assert z.total_length() == 3
-    assert tangent_dim_scheme(z) == 3
-
-
-def test_scheme_punctual_plus_point():
-    punctual = normalize_punctual(R3, [mono(R3, 0, 1) + mono(R3, 1, 1),
-                                       mono(R3, 1, 1, 2) + mono(R3, 2, 1)])
-    z = SchemePoint(punctual, ((0, GaussRational(5), 1),))
-    assert z.total_length() == 3
-    assert tangent_dim_scheme(z) == 3
-
-
-def test_scheme_origin_only():
-    ideal = normalize_punctual(R3, [mono(R3, 0, 1), mono(R3, 1, 1),
-                                    mono(R3, 2, 1)])
-    assert tangent_dim_scheme(SchemePoint(ideal)) == 3
-
-
-def test_scheme_curvilinear_multiplicity():
-    z = SchemePoint(None, ((2, GaussRational(1), 4),))
-    assert tangent_dim_scheme(z) == 4
-
-
-def test_scheme_rejects_zero_coordinate():
-    with pytest.raises(ValueError):
-        SchemePoint(None, ((0, GaussRational(0), 1),))
+def test_component_dimension_checked_by_generic_tangent(monkeypatch):
+    monkeypatch.setattr(foldring, "tangent_dim", lambda ideal: 0)
+    component_dimension.cache_clear()
+    try:
+        with pytest.raises(InternalDiagnosticError):
+            component_dimension(4, 5, 2)
+        assert component_dimension(4, 5, 1) == 5  # the smoothable component
+        assert component_dimension(6, 2, 2) == 5  # empty stratum: no member
+    finally:
+        component_dimension.cache_clear()
 
 
 # -- singularity and smoothability -------------------------------------------
@@ -382,6 +371,37 @@ def test_singular_length_one():
     ideal = normalize_punctual(R3, [mono(R3, 0, 1), mono(R3, 1, 1),
                                     mono(R3, 2, 1)])
     assert is_singular_point(ideal, 1).singular
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_one_axis_smooth_and_smoothable(m):
+    ctx = FoldRingCtx(1)
+    ideal = normalize_punctual(ctx, [mono(ctx, 0, m)])
+    verdict = is_singular_point(ideal, m)
+    assert not verdict.singular
+    assert verdict.tangent == verdict.expected_smooth_dim == m
+    assert is_smoothable(ideal)
+
+
+def test_one_axis_tangent_disagreement_raises(monkeypatch):
+    ctx = FoldRingCtx(1)
+    ideal = normalize_punctual(ctx, [mono(ctx, 0, 3)])
+    monkeypatch.setattr(foldring, "tangent_dim", lambda ideal: 4)
+    with pytest.raises(InternalDiagnosticError):
+        is_singular_point(ideal)
+
+
+def test_pure_power_tangent_compared_with_components(monkeypatch):
+    """On the pure-power branch the tangent dimension must exceed every
+    containing component's dimension; a tangent too small raises."""
+    ideal = normalize_punctual(R3, [mono(R3, 0, 3), mono(R3, 1, 1)
+                                    + mono(R3, 2, 1)])
+    verdict = is_singular_point(ideal)
+    assert verdict.singular and "degree >= 2" in verdict.matched_condition
+    monkeypatch.setattr(foldring, "tangent_dim",
+                        lambda ideal: verdict.expected_smooth_dim)
+    with pytest.raises(InternalDiagnosticError):
+        is_singular_point(ideal)
 
 
 def test_exhaustive_monomial_plus_one_generator_agreement():

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hilbfold import ffield
+from hilbfold import ffield, localmodel
+from hilbfold.foldring import InternalDiagnosticError
 from hilbfold.localmodel import (ComponentTranslation, PolyIdealGens,
                                  build_sing_complex, deformation_ideal,
                                  expected_intersection_labels,
@@ -186,6 +187,13 @@ def test_triangulation_counts_and_volume(k):
     tri = unimodular_triangulation(p)  # raises on a non-unimodular simplex
     assert len(tri) == 2 ** (k - 1)
     assert polytope_lattice_volume(p) == 2 ** (k - 1)
+
+
+def test_triangulation_count_checked_against_volume(monkeypatch):
+    monkeypatch.setattr(localmodel, "polytope_lattice_volume",
+                        lambda p: 2 ** p.k)
+    with pytest.raises(InternalDiagnosticError):
+        unimodular_triangulation(toric_polytope(3))
 
 
 def test_triangulation_simplices_use_vertices():

@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from hilbfold.exact import ExactMatrix, GaussRational
+from hilbfold import moment
+from hilbfold.exact import ExactMatrix, GaussRational, minor
 from hilbfold.foldring import FoldRingCtx, PunctualIdeal, normalize_punctual
 from hilbfold.hypercomplex import build_complex
 from hilbfold.moment import (MomentPoint, PluckerVector,
@@ -149,6 +151,36 @@ def test_moment_gluing_on_intersection_ideals():
             continue
         moment_global(ideal, m)  # raises when the evaluations disagree
         done += 1
+
+
+def _moment_over_complements(n, l, u, matrix):
+    """Reference: the |q_S|^2 weighted average of the complementary
+    indicators e_{[n] - S}, shifted by u - 1."""
+    total = Fraction(0)
+    acc = [Fraction(0)] * n
+    for cols in itertools.combinations(range(n), l):
+        w = minor(matrix, range(l), cols).norm_sq()
+        total += w
+        for i in set(range(n)) - set(cols):
+            acc[i] += w
+    return tuple(acc[i] / total + u[i] - 1 for i in range(n))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_presentation_moment_matches_complement_average(gaussian):
+    from conftest import random_degree_vector
+    rng = rng_for(f"moment-complements-{gaussian}")
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        l = rng.randint(1, n - 1)
+        u = random_degree_vector(rng, n, rng.randint(n, n + 4))
+        ideal = ideal_from_matrix(FoldRingCtx(n), u, generic_full_rank(
+            rng, l, n, rational_only=not gaussian))
+        pure = ideal.pure_form()
+        for l2, u2, mat in [(pure.l, pure.u, pure.matrix),
+                            *containing_presentations(ideal)]:
+            got = moment._moment_of_presentation(n, l2, u2, mat)
+            assert got.coords == _moment_over_complements(n, l2, u2, mat)
 
 
 def test_library_gluing_sweep():
