@@ -11,9 +11,8 @@ from . import components as comp
 from . import export, localmodel
 from .exact import GaussRational
 from .foldring import (FoldRingCtx, InternalDiagnosticError, NotFiniteColength,
-                       NotOriginSupported, SeparatedPoly, colength,
-                       is_singular_point, is_smoothable, normalize_punctual,
-                       tangent_dim)
+                       NotOriginSupported, SeparatedPoly, is_singular_point,
+                       is_smoothable, normalize_punctual, tangent_dim)
 from .hypercomplex import build_complex
 from .moment import gluing_consistency_sweep, locate, moment_global
 

@@ -253,14 +253,13 @@ def _chi(j: int, budget: int, caps) -> int:
 def phi_shift(ideal: PunctualIdeal, extra) -> PunctualIdeal:
     """Substitute x_i -> x_i^{extra_i + 1} in an ideal with all-ones degree
     vector; the colength grows by |extra| and the moment image translates."""
-    pure = ideal.pure_form()
     extra = tuple(extra)
-    if any(x < 0 for x in extra) or len(extra) != pure.n:
+    if any(x < 0 for x in extra) or len(extra) != ideal.n:
         raise ValueError("shift must be a nonnegative vector of length n")
-    if any(x != 1 for x in pure.u):
+    if any(x != 1 for x in ideal.u):
         raise ValueError("the ideal must have all-ones degree vector")
     new_u = tuple(1 + e for e in extra)
-    return PunctualIdeal(pure.ctx, pure.l, new_u, pure.matrix, frozenset())
+    return PunctualIdeal(ideal.ctx, ideal.l, new_u, ideal.matrix)
 
 
 @dataclass(frozen=True)
@@ -297,11 +296,10 @@ def normalization_fiber_degree(ideal: PunctualIdeal, mprime: int) -> int:
     The normalization interpretation needs mprime <= n - 1; the cell count
     itself makes sense up to mprime = n and is exposed for the full range.
     """
-    pure = ideal.pure_form()
-    n = pure.n
+    n = ideal.n
     if not 2 <= mprime <= n:
         raise ValueError("mprime out of range")
-    total = pure.colength()
+    total = ideal.colength()
     mu = moment_global(ideal)
     K = build_complex(n, total)
     hyper_l = mprime - 1

@@ -7,15 +7,16 @@ univariate polynomial per axis ("branch"), which is what SeparatedPoly stores.
 Ideals of finite colength supported at the origin admit a canonical matrix
 presentation: a degree vector u (one degree per branch) and a full-rank
 matrix A without zero columns, the generators being A * (x_1^{u_1}, ...,
-x_n^{u_n})^T.  normalize_punctual computes that canonical form by exact
-linear algebra on a degree-truncated piece of the ring; colength, tangent
-spaces and the singular/smoothable verdicts are all built on top of the same
-truncated-span machinery.
+x_n^{u_n})^T.  PunctualIdeal holds that pair with A in reduced row echelon
+form, and the tangent space and the singular/smoothable verdicts read it
+directly.  normalize_punctual finds it from arbitrary generators with one
+exact elimination of the ideal's span on a degree-truncated piece of the
+ring, the same span from which colength counts the quotient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -168,7 +169,8 @@ class SeparatedPoly:
 # inside W is generated by the truncations of x_i^a * g over all generators
 # g, axes i and shifts 0 <= a <= B_i; pure powers x_i^s for s > B_i are in
 # the ideal whenever the quotient is finite, so the truncation is exact for
-# origin-supported ideals.
+# origin-supported ideals.  The span is eliminated once, by _finite_span;
+# the quotient by a canonical presentation needs no elimination at all.
 # --------------------------------------------------------------------------
 
 
@@ -182,14 +184,12 @@ class _Truncation:
                 tops[i] = max(tops[i], g.branch_degree(i))
         self.bounds = [t + 1 for t in tops]
         # monomials ordered by (degree, axis); index 0 is the constant
-        self.monomials = [None]
         self.index = {}
         for deg in range(1, max(self.bounds) + 1):
             for i in range(n):
                 if deg <= self.bounds[i]:
-                    self.index[(i, deg)] = len(self.monomials)
-                    self.monomials.append((i, deg))
-        self.dim = len(self.monomials)
+                    self.index[(i, deg)] = len(self.index) + 1
+        self.dim = len(self.index) + 1
 
     def vector_of(self, p: SeparatedPoly):
         v = [GR_ZERO] * self.dim
@@ -200,12 +200,11 @@ class _Truncation:
                     v[self.index[(i, s)]] = c
         return v
 
-    def shift_vectors(self, include_unshifted=True):
-        """Truncations of x_i^a * g; a = 0 rows only when requested."""
+    def shift_vectors(self):
+        """Truncations of x_i^a * g for 0 <= a <= B_i."""
         rows = []
         for g in self.gens:
-            if include_unshifted:
-                rows.append(self.vector_of(g))
+            rows.append(self.vector_of(g))
             for i in range(self.n):
                 br = g.branches[i]
                 c0 = g.constant
@@ -225,36 +224,28 @@ class _Truncation:
         return rows
 
 
-class _SpanRREF:
-    """RREF of a span with O(1) monomial-membership and reduction."""
+def _finite_span(ctx: FoldRingCtx, gens):
+    """Truncation and reduced rows of the span of the ideal.
 
-    def __init__(self, rows):
-        self.rows, self.pivots = rref(rows) if rows else ([], [])
-        self.pivot_to_row = {p: r for r, p in enumerate(self.pivots)}
-
-    def rank(self):
-        return len(self.pivots)
-
-    def contains_monomial(self, idx):
-        r = self.pivot_to_row.get(idx)
-        if r is None:
-            return False
-        row = self.rows[r]
-        return all(not c for j, c in enumerate(row) if j != idx)
-
-    def reduce(self, vec):
-        vec = list(vec)
-        for r, p in enumerate(self.pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [x - f * y for x, y in zip(vec, self.rows[r])]
-        return vec
+    Raises NotFiniteColength when some axis never reaches a pure power
+    inside the truncated span; otherwise the quotient has dimension
+    tr.dim - len(rows), exactly so for origin-supported ideals.
+    """
+    tr = _Truncation(ctx.n, gens)
+    rows, pivots = rref(tr.shift_vectors())
+    row_at = dict(zip(pivots, rows))
+    for i in range(ctx.n):
+        if not any(_holds_monomial(row_at, tr.index[(i, s)])
+                   for s in range(1, tr.bounds[i] + 1)):
+            raise NotFiniteColength(f"axis {i} never reaches a pure power")
+    return tr, rows
 
 
-def _span_data(ctx: FoldRingCtx, gens):
-    tr = _Truncation(ctx.n, list(gens))
-    full = _SpanRREF(tr.shift_vectors(include_unshifted=True))
-    return tr, full
+def _holds_monomial(row_at, idx):
+    """A reduced span holds monomial idx when its row with that pivot is
+    the monomial itself."""
+    row = row_at.get(idx)
+    return row is not None and all(not c for j, c in enumerate(row) if j != idx)
 
 
 def colength(ctx: FoldRingCtx, gens):
@@ -263,15 +254,11 @@ def colength(ctx: FoldRingCtx, gens):
     Finiteness is detected by every axis reaching a pure power inside the
     truncated span; for origin-supported ideals the returned value is exact.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
+    try:
+        tr, rows = _finite_span(ctx, gens)
+    except NotFiniteColength:
         return None
-    tr, full = _span_data(ctx, gens)
-    for i in range(ctx.n):
-        if not any(full.contains_monomial(tr.index[(i, s)])
-                   for s in range(1, tr.bounds[i] + 1)):
-            return None
-    return tr.dim - full.rank()
+    return tr.dim - len(rows)
 
 
 def _branch_restriction_gcds(ctx, gens):
@@ -326,21 +313,21 @@ def _poly_gcd(a, b):
 
 @dataclass(frozen=True)
 class PunctualIdeal:
-    """Canonical data of an origin-supported finite-colength ideal.
+    """Canonical presentation (u, A) of an origin-supported finite-colength
+    ideal.
 
     The generators are the rows of ``matrix`` applied to the column of
-    monomials x_i^{u_i}, together with the forced pure powers x_i^{u_i + 1}
-    for i in ``forced``.  The matrix columns at forced axes are zero (the
-    matrix is stored embedded at full width n).  Canonical output of
-    normalize_punctual always has forced = frozenset() and the matrix in
-    reduced row echelon form.
+    monomials x_i^{u_i}.  Any full-rank matrix without zero columns may be
+    given; it is stored in reduced row echelon form, the one matrix of its
+    row space, so every presentation of an ideal gives the same verdicts.
+    ``pivots`` holds the pivot axis of each row.
     """
 
     ctx: FoldRingCtx
     l: int
     u: tuple
     matrix: ExactMatrix
-    forced: frozenset = frozenset()
+    pivots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.ctx.n
@@ -350,18 +337,14 @@ class PunctualIdeal:
             raise ValueError("row count out of range")
         if self.matrix.rows != self.l or self.matrix.cols != n:
             raise ValueError("matrix shape mismatch")
-        if self.forced and set(self.forced) == set(range(n)):
-            raise ValueError("forced set cannot be every axis")
         for j in range(n):
-            col_nonzero = any(self.matrix[i, j] for i in range(self.l))
-            if j in self.forced:
-                if col_nonzero:
-                    raise ValueError("matrix column at a forced axis must vanish")
-            elif not col_nonzero:
+            if not any(self.matrix[i, j] for i in range(self.l)):
                 raise ValueError(f"zero matrix column at axis {j}")
-        from .exact import rank as _rank
-        if _rank(self.matrix) != self.l:
+        reduced, pivots = rref(self.matrix.entries)
+        if len(pivots) != self.l:
             raise ValueError("matrix must have full row rank")
+        object.__setattr__(self, "matrix", ExactMatrix(reduced))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def n(self):
@@ -379,28 +362,10 @@ class PunctualIdeal:
                 if c:
                     p = p + self.ctx.axis_monomial(j, self.u[j], c)
             gens.append(p)
-        for j in sorted(self.forced):
-            gens.append(self.ctx.axis_monomial(j, self.u[j] + 1))
         return gens
 
-    def pure_form(self) -> "PunctualIdeal":
-        """Absorb forced pure powers as extra unit rows (degree bumped)."""
-        if not self.forced:
-            return self
-        n = self.n
-        u = list(self.u)
-        rows = [list(self.matrix.row(i)) for i in range(self.l)]
-        for j in sorted(self.forced):
-            u[j] += 1
-            unit = [GR_ZERO] * n
-            unit[j] = GR_ONE
-            rows.append(unit)
-        reduced, _ = rref(rows)
-        return PunctualIdeal(self.ctx, len(reduced), tuple(u),
-                             ExactMatrix(reduced), frozenset())
-
     def monomial_rows(self):
-        """Row indices whose generator is a pure axis power (pure form only)."""
+        """(row, axis) for each generator that is a pure axis power."""
         out = []
         for i in range(self.l):
             support = [j for j in range(self.n) if self.matrix[i, j]]
@@ -408,65 +373,59 @@ class PunctualIdeal:
                 out.append((i, support[0]))
         return out
 
+    def contains(self, p: SeparatedPoly) -> bool:
+        """Membership: no constant term, no x_i^s with s < u_i, and the
+        x_i^{u_i} coefficients in the row space of the matrix (every
+        x_i^s with s > u_i lies in the ideal)."""
+        if p.constant or any(p.coeff(i, s) for i in range(self.n)
+                             for s in range(1, self.u[i])):
+            return False
+        v = [p.coeff(i, self.u[i]) for i in range(self.n)]
+        for r, axis in enumerate(self.pivots):
+            f = v[axis]
+            if f:
+                v = [x - f * y for x, y in zip(v, self.matrix.row(r))]
+        return not any(v)
+
 
 def normalize_punctual(ctx: FoldRingCtx, gens) -> PunctualIdeal:
     """Canonical (l, u, A) presentation of an origin-supported ideal.
 
-    Pipeline: truncate, check finiteness and origin support, extract the
-    canonical reduced minimal generators (span RREF reduced modulo the
-    span of x_i * ideal), then read off the degree vector and the RREF
-    coefficient matrix with axis-ordered pivot columns.  Raises
-    NotFiniteColength / NotOriginSupported on bad input and an
-    InternalDiagnosticError if the result violates the colength identity.
+    The branch-i restrictions of the ideal generate (x_i^{u_i}) in C[x_i],
+    so u_i is the degree of their gcd; x_i * J holds exactly the powers
+    x_i^s with s > u_i, so A is the reduced row space of the span's
+    coordinates at the monomials x_i^{u_i}.  Raises NotFiniteColength /
+    NotOriginSupported on bad input.  Cross-checks: the presentation's
+    colength sum(u) + 1 - l equals the dimension of the quotient by the
+    span, and every input generator lies in the presented ideal; an ideal
+    contained in another of equal colength equals it.  A failure raises
+    InternalDiagnosticError.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise NotFiniteColength("no nonzero generators")
     if any(g.constant for g in gens):
         raise NotOriginSupported("a generator has a nonzero constant term")
-    tr, full = _span_data(ctx, gens)
-    for i in range(ctx.n):
-        if not any(full.contains_monomial(tr.index[(i, s)])
-                   for s in range(1, tr.bounds[i] + 1)):
-            raise NotFiniteColength(f"axis {i} never reaches a pure power")
+    tr, rows = _finite_span(ctx, gens)
+    u = []
     for i, g in enumerate(_branch_restriction_gcds(ctx, gens)):
         if g is None:
             raise NotFiniteColength(f"axis {i} untouched by the generators")
         if any(c for c in g[:-1]):
             raise NotOriginSupported(f"axis {i} has a root away from the origin")
+        u.append(len(g) - 1)
 
-    m = tr.dim - full.rank()
-    ideal_shifted = _SpanRREF(tr.shift_vectors(include_unshifted=False))
-
-    minimal = []
-    for r, p in enumerate(full.pivots):
-        if p not in ideal_shifted.pivot_to_row:
-            minimal.append(ideal_shifted.reduce(full.rows[r]))
-    minimal, _ = rref(minimal)
-    if not minimal:
-        raise InternalDiagnosticError("no minimal generators found")
-
-    degree_of_axis = {}
-    for row in minimal:
-        if row[0]:
-            raise InternalDiagnosticError("minimal generator with constant term")
-        for idx, c in enumerate(row):
-            if idx and c:
-                i, s = tr.monomials[idx]
-                if degree_of_axis.setdefault(i, s) != s:
-                    raise InternalDiagnosticError(
-                        f"axis {i} appears in two degrees among minimal generators")
-    if set(degree_of_axis) != set(range(ctx.n)):
-        raise InternalDiagnosticError("an axis is missing from the minimal generators")
-
-    u = tuple(degree_of_axis[i] for i in range(ctx.n))
-    coeff_rows = [[row[tr.index[(i, u[i])]] for i in range(ctx.n)]
-                  for row in minimal]
-    coeff_rows, _ = rref(coeff_rows)
-    ideal = PunctualIdeal(ctx, len(coeff_rows), u, ExactMatrix(coeff_rows))
+    cols = [tr.index[(i, d)] for i, d in enumerate(u)]
+    coeff_rows = [r for r in ([row[c] for c in cols] for row in rows) if any(r)]
+    ideal = PunctualIdeal(ctx, len(coeff_rows), tuple(u),
+                          ExactMatrix(coeff_rows))
+    m = tr.dim - len(rows)
     if ideal.colength() != m:
         raise InternalDiagnosticError(
             f"colength identity violated: {ideal.colength()} != {m}")
+    if not all(ideal.contains(g) for g in gens):
+        raise InternalDiagnosticError(
+            "an input generator lies outside the presented ideal")
     return ideal
 
 
@@ -476,53 +435,48 @@ def normalize_punctual(ctx: FoldRingCtx, gens) -> PunctualIdeal:
 
 
 class _QuotientRing:
-    """Monomial basis of R_n / J and multiplication-by-axis matrices."""
+    """Monomial basis of R_n / J and multiplication-by-axis matrices, read
+    off the canonical presentation without elimination.
+
+    The basis is 1 (first), the x_i^s with s < u_i, and x_i^{u_i} on each
+    axis that is no row's pivot.  On the pivot axis p of row r,
+    x_p^{u_p} = -sum_j A[r][j] x_j^{u_j} over the other axes j, which are
+    all non-pivot; every x_i^s with s > u_i lies in J.
+    """
 
     def __init__(self, ideal: PunctualIdeal):
         self.ideal = ideal
-        ctx = ideal.ctx
-        gens = ideal.generators()
-        self.tr, self.full = _span_data(ctx, gens)
-        pivot_set = set(self.full.pivots)
-        self.basis = [idx for idx in range(self.tr.dim) if idx not in pivot_set]
-        self.basis_pos = {idx: p for p, idx in enumerate(self.basis)}
+        self.pivot_row = {axis: r for r, axis in enumerate(ideal.pivots)}
+        self.basis = [None] + [
+            (i, s) for i in range(ideal.n)
+            for s in range(1, ideal.u[i] + (i not in self.pivot_row))]
+        self.basis_pos = {mono: b for b, mono in enumerate(self.basis)}
         self.m = len(self.basis)
-        self._mult_cache = {}
 
-    def _reduce_monomial(self, idx):
-        """Coordinates of a monomial in the quotient basis."""
+    def _coords(self, i, s):
+        """Coordinates of x_i^s in the quotient basis."""
         coords = [GR_ZERO] * self.m
-        if idx in self.basis_pos:
-            coords[self.basis_pos[idx]] = GR_ONE
-            return coords
-        r = self.full.pivots.index(idx)
-        row = self.full.rows[r]
-        for j, c in enumerate(row):
-            if j != idx and c:
-                coords[self.basis_pos[j]] = -c
+        b = self.basis_pos.get((i, s))
+        if b is not None:
+            coords[b] = GR_ONE
+        elif s == self.ideal.u[i]:
+            row = self.ideal.matrix.row(self.pivot_row[i])
+            for j, c in enumerate(row):
+                if j != i and c:
+                    coords[self.basis_pos[(j, self.ideal.u[j])]] = -c
         return coords
 
     def mult_matrix(self, axis):
-        """m x m matrix of multiplication by x_{axis+1} on the basis."""
-        if axis in self._mult_cache:
-            return self._mult_cache[axis]
+        """m x m matrix of multiplication by x_{axis+1} on the basis:
+        entry [b][o] is the coefficient of basis o in x_{axis+1} * basis b."""
         cols = []
-        for idx in self.basis:
-            if idx == 0:
-                target = (axis, 1)
+        for mono in self.basis:
+            if mono is None:
+                cols.append(self._coords(axis, 1))
+            elif mono[0] == axis:
+                cols.append(self._coords(axis, mono[1] + 1))
             else:
-                i, s = self.tr.monomials[idx]
-                target = (i, s + 1) if i == axis else None
-            if target is None:
                 cols.append([GR_ZERO] * self.m)
-                continue
-            t_idx = self.tr.index.get(target)
-            if t_idx is None:
-                # beyond the truncation bound: in the ideal for valid inputs
-                cols.append([GR_ZERO] * self.m)
-                continue
-            cols.append(self._reduce_monomial(t_idx))
-        self._mult_cache[axis] = cols  # cols[b][o]: coefficient of basis o
         return cols
 
 
@@ -537,7 +491,6 @@ def tangent_dim(ideal: PunctualIdeal, m: int | None = None) -> int:
     syz(j, k) = (a_k/a_p) syz(p, j) - (a_j/a_p) syz(p, k).  The answer is
     l*m minus the rank of the constraint system.
     """
-    ideal = ideal.pure_form()
     if m is not None and ideal.colength() != m:
         raise ValueError(f"colength is {ideal.colength()}, not {m}")
     quo = _QuotientRing(ideal)
@@ -613,7 +566,6 @@ def is_singular_point(ideal: PunctualIdeal, m: int | None = None) -> SingularVer
         dimension, or membership in two punctual components.
     Disagreement raises InternalDiagnosticError.
     """
-    ideal = ideal.pure_form()
     mm = ideal.colength()
     if m is not None and mm != m:
         raise ValueError(f"colength is {mm}, not {m}")
@@ -671,14 +623,13 @@ def is_smoothable(ideal: PunctualIdeal) -> bool:
     inside the hypersimplicial complex.  On one axis every ideal is
     smoothable: the points of a smooth curve form a smooth scheme.
     """
-    pure = ideal.pure_form()
-    non_mon = pure.l - len(pure.monomial_rows())
+    non_mon = ideal.l - len(ideal.monomial_rows())
     verdict = non_mon <= 1
-    m = pure.colength()
-    if m >= 2 and pure.n >= 2:
+    m = ideal.colength()
+    if m >= 2 and ideal.n >= 2:
         from .hypercomplex import build_complex, is_smoothable_face
         from .moment import locate, moment_global
-        complex_ = build_complex(pure.n, m)
+        complex_ = build_complex(ideal.n, m)
         face = locate(moment_global(ideal, m), complex_)
         by_face = is_smoothable_face(face, complex_)
         if by_face != verdict:

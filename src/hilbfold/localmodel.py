@@ -90,15 +90,22 @@ def deformation_variables(n: int, k: int, u):
     return tuple(names)
 
 
-def deformation_ideal(n: int, k: int, u) -> PolyIdealGens:
-    """The six relation blocks cutting out the deformations of the vertex
-    ideal with degree vector u (u_i >= 2 exactly on the first k axes)."""
+def _vertex_degrees(n: int, k: int, u) -> tuple:
+    """The degree vector of a depth-k vertex ideal: u_i >= 2 exactly on the
+    first k axes."""
     u = tuple(u)
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     if len(u) != n or any(u[i] < 2 for i in range(k)) or \
             any(u[i] != 1 for i in range(k, n)):
         raise ValueError("degree vector incompatible with k")
+    return u
+
+
+def deformation_ideal(n: int, k: int, u) -> PolyIdealGens:
+    """The six relation blocks cutting out the deformations of the vertex
+    ideal with degree vector u (u_i >= 2 exactly on the first k axes)."""
+    u = _vertex_degrees(n, k, u)
     names = deformation_variables(n, k, u)
     idx = {name: p for p, name in enumerate(names)}
 
@@ -239,7 +246,7 @@ class PrimeFamily:
         return self.gens.pretty()
 
 
-def _variable_ideal(names, idx, chosen):
+def _variable_ideal(idx, chosen):
     return tuple(_gen(_mono(1, (idx[v], 1))) for v in chosen)
 
 
@@ -252,17 +259,19 @@ def primary_components(n: int, k: int):
     fams = []
     if k == 1:
         rest = [f"a{i}" for i in range(2, n + 1)]
-        fams.append(PrimeFamily(
-            "origin_pair", (),
-            PolyIdealGens(names, _variable_ideal(names, idx, ["A1", "a1_1"]))))
+        # at n = 2, V(A1, a1_1) lies inside line_plus_point(2) = V(A1)
+        if n >= 3:
+            fams.append(PrimeFamily(
+                "origin_pair", (),
+                PolyIdealGens(names, _variable_ideal(idx, ["A1", "a1_1"]))))
         fams.append(PrimeFamily(
             "single_line", (),
-            PolyIdealGens(names, _variable_ideal(names, idx, rest))))
+            PolyIdealGens(names, _variable_ideal(idx, rest))))
         for i in range(2, n + 1):
             chosen = ["A1"] + [f"a{j}" for j in range(2, n + 1) if j != i]
             fams.append(PrimeFamily(
                 "line_plus_point", (i,),
-                PolyIdealGens(names, _variable_ideal(names, idx, chosen))))
+                PolyIdealGens(names, _variable_ideal(idx, chosen))))
         return fams
 
     def b(j):
@@ -307,7 +316,7 @@ def primary_components(n: int, k: int):
 def local_component_count(n: int, k: int) -> int:
     """Closed branch formula, asserted against the family enumeration."""
     if k == 1:
-        expected = n + 1
+        expected = n + 1 if n >= 3 else 2
     elif k <= n - 2:
         expected = n + 2 ** k - 1
     elif k == n - 1:
@@ -325,12 +334,7 @@ def punctual_local_ring(n: int, k: int, u):
     """Local model of the punctual locus at a vertex ideal: the chain
     products a_{i,j} a_{j,r} vanish, and the prime pieces are labelled by
     the sub-families of axes kept at full degree."""
-    u = tuple(u)
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
-    if len(u) != n or any(u[i] < 2 for i in range(k)) or \
-            any(u[i] != 1 for i in range(k, n)):
-        raise ValueError("degree vector incompatible with k")
+    u = _vertex_degrees(n, k, u)
     ideal, pieces = technical_ideal(n, range(1, k + 1))
     m = sum(u) + 1 - n
     primes = []
@@ -380,7 +384,7 @@ def technical_ideal(n: int, axes):
             chosen = sorted(set(chosen), key=names.index)
             primes.append(PrimeFamily(
                 "technical", (axes, t_subset),
-                PolyIdealGens(names, _variable_ideal(names, idx, chosen))))
+                PolyIdealGens(names, _variable_ideal(idx, chosen))))
     return ideal, primes
 
 

@@ -46,8 +46,7 @@ def _plucker(n, l, matrix: ExactMatrix) -> PluckerVector:
 
 def plucker_of(ideal: PunctualIdeal) -> PluckerVector:
     """Pluecker coordinates of the canonical generator matrix."""
-    pure = ideal.pure_form()
-    return _plucker(pure.n, pure.l, pure.matrix)
+    return _plucker(ideal.n, ideal.l, ideal.matrix)
 
 
 @dataclass(frozen=True)
@@ -88,32 +87,31 @@ def _moment_of_presentation(n, l, u, matrix: ExactMatrix) -> MomentPoint:
 
 def moment_component(ideal: PunctualIdeal, m: int | None = None) -> MomentPoint:
     """Moment image computed on the ideal's own presentation."""
-    pure = ideal.pure_form()
-    if m is not None and pure.colength() != m:
-        raise ValueError(f"colength is {pure.colength()}, not {m}")
-    return _moment_of_presentation(pure.n, pure.l, pure.u, pure.matrix)
+    if m is not None and ideal.colength() != m:
+        raise ValueError(f"colength is {ideal.colength()}, not {m}")
+    return _moment_of_presentation(ideal.n, ideal.l, ideal.u, ideal.matrix)
 
 
 def containing_presentations(ideal: PunctualIdeal):
     """All (l, u, matrix) presentations of the ideal inside the genuine
-    component strata: pure-power rows of degree >= 2 may be peeled off into
-    forced position, lowering the degree vector there.
+    component strata: a pure-power row x_i^{u_i} with u_i >= 2 may be
+    dropped, lowering u_i by one and leaving column i zero, since every
+    ideal of that stratum contains the power one past its degree there.
 
     Yields (l, u, matrix) triples, one per containing component."""
-    pure = ideal.pure_form()
-    n = pure.n
-    movable = [(row, axis) for row, axis in pure.monomial_rows()
-               if pure.u[axis] >= 2]
+    n = ideal.n
+    movable = [(row, axis) for row, axis in ideal.monomial_rows()
+               if ideal.u[axis] >= 2]
     for r in range(len(movable) + 1):
         for chosen in itertools.combinations(movable, r):
             rows_out = set(row for row, _ in chosen)
             axes_out = set(axis for _, axis in chosen)
-            l2 = pure.l - len(chosen)
+            l2 = ideal.l - len(chosen)
             if not 1 <= l2 <= n - 1:
                 continue
-            u2 = tuple(pure.u[i] - 1 if i in axes_out else pure.u[i]
+            u2 = tuple(ideal.u[i] - 1 if i in axes_out else ideal.u[i]
                        for i in range(n))
-            rows = [pure.matrix.row(i) for i in range(pure.l)
+            rows = [ideal.matrix.row(i) for i in range(ideal.l)
                     if i not in rows_out]
             yield l2, u2, ExactMatrix(rows)
 
@@ -121,10 +119,9 @@ def containing_presentations(ideal: PunctualIdeal):
 def moment_global(ideal: PunctualIdeal, m: int | None = None) -> MomentPoint:
     """Moment image, evaluated on every containing component and checked to
     agree; disagreement would mean the gluing is broken."""
-    pure = ideal.pure_form()
-    if m is not None and pure.colength() != m:
-        raise ValueError(f"colength is {pure.colength()}, not {m}")
-    values = [_moment_of_presentation(pure.n, l2, u2, mat)
+    if m is not None and ideal.colength() != m:
+        raise ValueError(f"colength is {ideal.colength()}, not {m}")
+    values = [_moment_of_presentation(ideal.n, l2, u2, mat)
               for l2, u2, mat in containing_presentations(ideal)]
     if not values:
         # only the full stratum presentation exists (e.g. the maximal ideal)

@@ -150,7 +150,7 @@ def test_criterion_06_complex_structure():
 def _generic_instance(rng, n, m, l):
     u = random_degree_vector(rng, n, m + l - 1)
     ideal = ideal_from_matrix(FoldRingCtx(n), u, generic_full_rank(rng, l, n))
-    if ideal.colength() != m or ideal.pure_form().monomial_rows():
+    if ideal.colength() != m or ideal.monomial_rows():
         return None
     return ideal
 
@@ -173,10 +173,9 @@ def _axis_instance(rng, n, m, l, a):
                 f = t if f is None else f + t
         gens.append(f)
     ideal = normalize_punctual(ctx, gens)
-    pure = ideal.pure_form()
-    mon_axes = [ax for _, ax in pure.monomial_rows()]
+    mon_axes = [ax for _, ax in ideal.monomial_rows()]
     if (ideal.colength() != m or len(mon_axes) != l - a
-            or any(pure.u[ax] != 1 for ax in mon_axes)):
+            or any(ideal.u[ax] != 1 for ax in mon_axes)):
         return None
     return ideal
 

@@ -428,8 +428,7 @@ def test_pure_power_tangent_mutation_exits_3(capsys, tmp_path, monkeypatch):
     original = foldring.tangent_dim
 
     def wrong_on_pure_powers(ideal, m=None):
-        pure = ideal.pure_form()
-        if any(pure.u[axis] >= 2 for _, axis in pure.monomial_rows()):
+        if any(ideal.u[axis] >= 2 for _, axis in ideal.monomial_rows()):
             return 0
         return original(ideal, m)
     monkeypatch.setattr(foldring, "tangent_dim", wrong_on_pure_powers)
@@ -438,13 +437,13 @@ def test_pure_power_tangent_mutation_exits_3(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().err.startswith("internal diagnostic failure: ")
 
 
-def test_local_dimension_bookkeeping_failure_exits_3(capsys):
-    # the (2,1) origin_pair family fails translate_component's check
-    assert main(["local", "-n", "2", "-k", "1", "--u", "2,1"]) == 3
-    captured = capsys.readouterr()
-    assert not captured.out
-    assert captured.err.startswith("internal diagnostic failure: ")
-    assert len(captured.err.splitlines()) == 1
+def test_local_2_1_translates_both_families(capsys):
+    # at n = 2 the origin pair lies inside line_plus_point(2), so only the
+    # two minimal families are translated
+    assert main(["local", "-n", "2", "-k", "1", "--u", "2,1"]) == 0
+    assert capsys.readouterr().out == (
+        "single_line(): smoothable len-2 on axis 1\n"
+        "line_plus_point(2,): smoothable len-1 on axis 1 x len-1 on axis 2\n")
 
 
 def test_python_dash_m_runs_the_cli():

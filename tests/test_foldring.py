@@ -10,8 +10,9 @@ from hilbfold.foldring import (FoldRingCtx, InternalDiagnosticError,
                                component_dimension, is_singular_point,
                                is_smoothable, normalize_punctual, tangent_dim)
 from hilbfold.hypercomplex import compositions
+from hilbfold.moment import moment_global
 from conftest import (generic_full_rank, ideal_from_matrix,
-                      random_degree_vector, rng_for)
+                      random_degree_vector, random_gauss, rng_for)
 
 R2 = FoldRingCtx(2)
 R3 = FoldRingCtx(3)
@@ -85,7 +86,7 @@ def test_colength_matches_degree_identity_randomly():
 def test_normalize_monomial_golden():
     ideal = normalize_punctual(R3, [mono(R3, 0, 3), mono(R3, 1, 1),
                                     mono(R3, 2, 1)])
-    assert (ideal.l, ideal.u, ideal.forced) == (3, (3, 1, 1), frozenset())
+    assert (ideal.l, ideal.u) == (3, (3, 1, 1))
     assert ideal.matrix == ExactMatrix.identity(3)
     assert ideal.colength() == 3
 
@@ -120,6 +121,96 @@ def test_normalize_idempotent_and_colength_preserving():
         assert again.colength() == colength(ctx, ideal.generators())
 
 
+def _random_poly(rng, n, gaussian, constant):
+    """Random element of R_n with branch degrees up to 2."""
+    def coeff():
+        return random_gauss(rng) if gaussian else GaussRational(
+            rng.randint(-3, 3))
+    return SeparatedPoly(n, coeff() if constant else 0,
+                         [[coeff() for _ in range(rng.randint(0, 2))]
+                          for _ in range(n)])
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_normalize_recovers_presentation_from_r_combinations(gaussian):
+    """Generators C * f + H * f + K * (x_i^{u_i + 1}) with C an invertible
+    constant matrix and H without constant terms, together with the pure
+    powers x_i^{u_i + 1}, generate the ideal of (u, A) (Nakayama, and the
+    pure powers keep the zeros at the origin), so they normalise back."""
+    rng = rng_for(f"normalize-r-combinations-{gaussian}")
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        ctx = FoldRingCtx(n)
+        l = rng.randint(1, n)
+        u = random_degree_vector(rng, n, rng.randint(n, n + 4))
+        ideal = PunctualIdeal(ctx, l, u, generic_full_rank(
+            rng, l, n, rational_only=not gaussian))
+        f = ideal.generators()
+        powers = [ctx.axis_monomial(i, u[i] + 1) for i in range(n)]
+        mix = generic_full_rank(rng, l, l, rational_only=not gaussian)
+        gens = []
+        for r in range(l):
+            g = SeparatedPoly.zero(n)
+            for s in range(l):
+                g = g + f[s].scaled(mix[r, s]) + \
+                    _random_poly(rng, n, gaussian, False) * f[s]
+            for p in powers:
+                g = g + _random_poly(rng, n, gaussian, True) * p
+            gens.append(g)
+        gens += [p.scaled(random_gauss(rng, nonzero=True)) for p in powers]
+        rng.shuffle(gens)
+        assert normalize_punctual(ctx, gens) == ideal
+
+
+def test_normalize_catches_a_degree_one_too_high(monkeypatch):
+    """With u_0 read one too high the presentation's colength often still
+    matches the span's; the membership check must catch every case."""
+    original = foldring._branch_restriction_gcds
+
+    def one_too_high_on_axis_0(ctx, gens):
+        return [[GR_ZERO] + g if i == 0 else g
+                for i, g in enumerate(original(ctx, gens))]
+    monkeypatch.setattr(foldring, "_branch_restriction_gcds",
+                        one_too_high_on_axis_0)
+    rng = rng_for("normalize-degree-too-high")
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        ctx = FoldRingCtx(n)
+        l = rng.randint(1, n)
+        u = random_degree_vector(rng, n, rng.randint(n, n + 4))
+        ideal = PunctualIdeal(ctx, l, u, generic_full_rank(rng, l, n))
+        with pytest.raises(InternalDiagnosticError):
+            normalize_punctual(ctx, ideal.generators())
+
+
+def test_contains_reads_the_presentation():
+    ideal = PunctualIdeal(R2, 1, (2, 1), ExactMatrix([[1, 3]]))
+    assert ideal.contains(mono(R2, 0, 2, 2) + mono(R2, 1, 1, 6))
+    assert ideal.contains(mono(R2, 0, 3) + mono(R2, 1, 2, 5))
+    assert not ideal.contains(mono(R2, 0, 2))
+    assert not ideal.contains(mono(R2, 0, 1) + mono(R2, 0, 2) +
+                              mono(R2, 1, 1, 3))
+    assert not ideal.contains(SeparatedPoly(2, 1, [[], []]))
+
+
+def test_noncanonical_matrix_gets_canonical_verdicts():
+    """Any full-rank matrix without zero columns presents the ideal of its
+    row space; the verdicts and the moment are those of the reduced form."""
+    given = PunctualIdeal(R3, 2, (2, 1, 1),
+                          ExactMatrix([[1, 1, 1], [2, 1, 1]]))
+    canonical = normalize_punctual(R3, [
+        mono(R3, 0, 2) + mono(R3, 1, 1) + mono(R3, 2, 1),
+        mono(R3, 0, 2, 2) + mono(R3, 1, 1) + mono(R3, 2, 1)])
+    assert (canonical.u, canonical.matrix) == (
+        (2, 1, 1), ExactMatrix([[1, 0, 0], [0, 1, 1]]))
+    assert given == canonical
+    verdict = is_singular_point(given)
+    assert verdict == is_singular_point(canonical)
+    assert verdict.singular
+    assert is_smoothable(given) and is_smoothable(canonical)
+    assert moment_global(given) == moment_global(canonical)
+
+
 def test_normalize_rejects_off_origin_root():
     # x1 - x1^2 vanishes at x1 = 1
     bad = mono(R2, 0, 1) + mono(R2, 0, 2, -1)
@@ -136,14 +227,6 @@ def test_normalize_rejects_constant_term():
     one_plus = SeparatedPoly(2, 1, [[1], []])
     with pytest.raises(NotOriginSupported):
         normalize_punctual(R2, [one_plus, mono(R2, 1, 1)])
-
-
-def test_pure_form_absorbs_forced_powers():
-    ideal = PunctualIdeal(R2, 1, (1, 1), ExactMatrix([[1, 0]]),
-                          forced=frozenset({1}))
-    pure = ideal.pure_form()
-    assert (pure.l, pure.u, pure.forced) == (2, (1, 2), frozenset())
-    assert pure.colength() == ideal.colength() == 2
 
 
 def test_colength_identity_invariant():
@@ -192,10 +275,48 @@ def test_tangent_colength_mismatch():
         tangent_dim(ideal, 5)
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_quotient_ring_closed_form(gaussian):
+    """The closed-form quotient is a ring presentation of R_n / J: products
+    of different axes vanish, x_i^{u_i + 1} and every generator map to 0,
+    and its dimension is the colength of the span."""
+    rng = rng_for(f"quotient-closed-form-{gaussian}")
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        ctx = FoldRingCtx(n)
+        l = rng.randint(1, n)
+        u = random_degree_vector(rng, n, rng.randint(n, n + 4))
+        ideal = PunctualIdeal(ctx, l, u, generic_full_rank(
+            rng, l, n, rational_only=not gaussian))
+        quo = foldring._QuotientRing(ideal)
+        m = quo.m
+        assert m == colength(ctx, ideal.generators()) == ideal.colength()
+        mult = [quo.mult_matrix(i) for i in range(n)]
+
+        def times(i, v):
+            return [sum((v[b] * mult[i][b][o] for b in range(m)), GR_ZERO)
+                    for o in range(m)]
+        one = [GaussRational(1)] + [GR_ZERO] * (m - 1)
+        powers = []  # powers[i][s]: coordinates of x_i^s
+        for i in range(n):
+            powers.append([one])
+            for _ in range(u[i] + 1):
+                powers[i].append(times(i, powers[i][-1]))
+            assert not any(powers[i][u[i] + 1])
+        for r in range(l):
+            image = [sum((ideal.matrix[r, j] * powers[j][u[j]][o]
+                          for j in range(n)), GR_ZERO) for o in range(m)]
+            assert not any(image)
+        for i, j in itertools.permutations(range(n), 2):
+            for b in range(m):
+                basis = [GR_ZERO] * m
+                basis[b] = GaussRational(1)
+                assert not any(times(i, times(j, basis)))
+
+
 def _tangent_dim_all_pairs(ideal):
     """Reference: l*m minus the rank of the relations of every pair of rows,
     A[k][i] * x_i * f_j - A[j][i] * x_i * f_k = 0 for j < k and each axis i."""
-    ideal = ideal.pure_form()
     quo = foldring._QuotientRing(ideal)
     mdim, l = quo.m, ideal.l
     rows = []
@@ -226,7 +347,7 @@ def test_tangent_first_row_pairs_match_all_pairs(gaussian):
         u = random_degree_vector(rng, n, rng.randint(n, n + 4))
         ctx = FoldRingCtx(n)
         ideal = ideal_from_matrix(ctx, u, generic_full_rank(
-            rng, l, n, rational_only=not gaussian)).pure_form()
+            rng, l, n, rational_only=not gaussian))
         assert tangent_dim(ideal) == _tangent_dim_all_pairs(ideal)
         gens = ideal.generators()
         for i in range(n):
@@ -242,7 +363,7 @@ def test_tangent_first_row_pairs_match_all_pairs(gaussian):
 def _generic_stratum_ideal(rng, n, m, l):
     u = random_degree_vector(rng, n, m + l - 1)
     ideal = ideal_from_matrix(FoldRingCtx(n), u, generic_full_rank(rng, l, n))
-    if ideal.colength() != m or ideal.pure_form().monomial_rows():
+    if ideal.colength() != m or ideal.monomial_rows():
         return None
     return ideal
 
@@ -284,10 +405,9 @@ def _axis_plus_generic_ideal(rng, n, m, l, a):
                 f = t if f is None else f + t
         gens.append(f)
     ideal = normalize_punctual(ctx, gens)
-    pure = ideal.pure_form()
-    mon_axes = [ax for _, ax in pure.monomial_rows()]
+    mon_axes = [ax for _, ax in ideal.monomial_rows()]
     if (ideal.colength() != m or len(mon_axes) != l - a
-            or any(pure.u[ax] != 1 for ax in mon_axes)):
+            or any(ideal.u[ax] != 1 for ax in mon_axes)):
         return None
     return ideal
 

@@ -79,7 +79,7 @@ def test_poly_ideal_rejects_triple_terms():
 # -- primary decompositions ---------------------------------------------------
 
 @pytest.mark.parametrize("n,k,expected", [(3, 1, 4), (4, 1, 5), (3, 2, 5),
-                                          (4, 2, 7), (3, 3, 6), (2, 1, 3)])
+                                          (4, 2, 7), (3, 3, 6), (2, 1, 2)])
 def test_family_counts(n, k, expected):
     assert len(primary_components(n, k)) == expected
     assert local_component_count(n, k) == expected
@@ -104,17 +104,7 @@ def test_3_2_families_explicit():
 
 def test_families_incomparable_where_minimal():
     for n, k in ACCEPTANCE_PAIRS:
-        fams = primary_components(n, k)
-        if (n, k) == (2, 1):
-            # the verbatim list is redundant exactly here: the mixed family
-            # degenerates to <A1>, inside the origin pair's locus
-            assert not pairwise_incomparable(fams)
-            gens = [frozenset(f.gens.generators) for f in fams]
-            bad = [(a, b) for a, b in itertools.combinations(range(3), 2)
-                   if gens[a] <= gens[b] or gens[b] <= gens[a]]
-            assert len(bad) == 1
-        else:
-            assert pairwise_incomparable(fams)
+        assert pairwise_incomparable(primary_components(n, k))
 
 
 @pytest.mark.parametrize("n,k", ACCEPTANCE_PAIRS)
@@ -306,8 +296,6 @@ def test_local_count_matches_incident_cells_plus_smoothables():
     from hilbfold.hypercomplex import build_complex, cells_at_vertex
     for n in range(2, 5):
         for k in range(1, n + 1):
-            if (n, k) == (2, 1):
-                continue  # the verbatim family list is redundant there
             u = tuple([2] * k + [1] * (n - k))
             m = sum(u) + 1 - n
             if m < 2:
@@ -342,7 +330,7 @@ def test_translate_k2_families():
 
 
 def test_translate_dimension_bookkeeping_grid():
-    for n in range(3, 5):
+    for n in range(2, 5):
         for k in range(1, n + 1):
             u = tuple([3] * k + [1] * (n - k))
             for fam in primary_components(n, k):

@@ -24,10 +24,8 @@ def mono(ctx, axis, deg, coeff=1):
 # -- Pluecker coordinates -----------------------------------------------------
 
 def test_plucker_of_monomial_span():
-    # two coordinate monomials plus a forced pure power on the last axis
-    ideal = PunctualIdeal(R3, 2, (2, 1, 1),
-                          ExactMatrix([[1, 0, 0], [0, 1, 0]]),
-                          forced=frozenset({2}))
+    # three coordinate monomials: one maximal minor
+    ideal = PunctualIdeal(R3, 3, (2, 1, 2), ExactMatrix.identity(3))
     p = plucker_of(ideal)
     nonzero = [(s, q) for s, q in p.items() if q]
     assert nonzero == [((0, 1, 2), GaussRational(1))]
@@ -102,10 +100,9 @@ def test_moment_lands_in_own_cell():
                                   generic_full_rank(rng, l, n))
         mu = moment_component(ideal)
         assert mu.sum() == ideal.colength() - 1
-        pure = ideal.pure_form()
         from hilbfold.hypercomplex import HyperCell
-        home = HyperCell(pure.n, pure.n - pure.l,
-                         tuple(x - 1 for x in pure.u))
+        home = HyperCell(ideal.n, ideal.n - ideal.l,
+                         tuple(x - 1 for x in ideal.u))
         assert home.contains(mu.coords)
 
 
@@ -176,8 +173,7 @@ def test_presentation_moment_matches_complement_average(gaussian):
         u = random_degree_vector(rng, n, rng.randint(n, n + 4))
         ideal = ideal_from_matrix(FoldRingCtx(n), u, generic_full_rank(
             rng, l, n, rational_only=not gaussian))
-        pure = ideal.pure_form()
-        for l2, u2, mat in [(pure.l, pure.u, pure.matrix),
+        for l2, u2, mat in [(ideal.l, ideal.u, ideal.matrix),
                             *containing_presentations(ideal)]:
             got = moment._moment_of_presentation(n, l2, u2, mat)
             assert got.coords == _moment_over_complements(n, l2, u2, mat)
