@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -259,6 +260,18 @@ def test_verify_runs(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert "gluing sweep seed=11" in out
+
+
+# sha256 of the default `hilbfold verify --json` output; a check added to
+# verify on purpose changes it
+VERIFY_JSON_SHA256 = ("df496f73325e688c6c37b2a5a4bacaefba01390bc809ccc118cf"
+                      "3fbe80f1455a")
+
+
+def test_verify_json_is_pinned(capsys):
+    rc, out = run(capsys, ["verify", "--json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
 def test_strict_turns_flagged_mismatch_into_failure(capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hilbfold import ffield, localmodel
+from hilbfold import localmodel
 from hilbfold.foldring import InternalDiagnosticError
 from hilbfold.localmodel import (ComponentTranslation, PolyIdealGens,
                                  build_sing_complex, deformation_ideal,
@@ -18,6 +18,7 @@ from hilbfold.localmodel import (ComponentTranslation, PolyIdealGens,
                                  unimodular_triangulation,
                                  verify_decomposition_ff, verify_reduction,
                                  verify_sing_complex)
+from test_ffield import reference_chunks, reference_mask, reference_tables
 
 ACCEPTANCE_PAIRS = [(2, 1), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
 
@@ -261,14 +262,15 @@ def _pairwise_reference(sc, q):
     """Per pair, the labels of the coordinate subspace that V(A) and V(B)
     meet in over F_q, or None when their intersection is not one: the
     subspace spanned by the variables nonzero somewhere on it must hold
-    exactly as many points as the intersection."""
+    exactly as many points as the intersection.  Points and masks come
+    from the reference kernel of test_ffield, not from ffield."""
     nvars = len(sc.variables)
-    tables = [ffield.compile_tables(cell.prime.gens.generators, nvars)
+    tables = [reference_tables(cell.prime.gens.generators, nvars)
               for cell in sc.cells]
     support = {pair: np.zeros(nvars, dtype=bool) for pair in sc.intersections}
     points = dict.fromkeys(sc.intersections, 0)
-    for X in ffield.iter_point_chunks(nvars, q):
-        masks = [ffield.vanishing_mask(X, tab, q) for tab in tables]
+    for X in reference_chunks(nvars, q):
+        masks = [reference_mask(X, tab, q) for tab in tables]
         for a, b in sc.intersections:
             both = masks[a] & masks[b]
             support[(a, b)] |= (X[both] != 0).any(axis=0)
