@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from math import comb, gcd as _gcd
+from math import comb, lcm
 
 from . import ffield
 from .exact import ExactMatrix, det, kernel_basis
@@ -316,7 +316,7 @@ def primary_components(n: int, k: int):
 def local_component_count(n: int, k: int) -> int:
     """Closed branch formula, asserted against the family enumeration."""
     if k == 1:
-        expected = n + 1 if n >= 3 else 2
+        expected = n + 1 if n >= 3 else n
     elif k <= n - 2:
         expected = n + 2 ** k - 1
     elif k == n - 1:
@@ -392,8 +392,7 @@ def verify_decomposition_ff(ideal: PolyIdealGens, primes, q: int,
                             budget=ffield.DEFAULT_BUDGET) -> bool:
     """Pointwise over F_q: the ideal vanishes exactly on the union of the
     primes' vanishing loci."""
-    prime_gens = [p.gens.generators if isinstance(p, PrimeFamily)
-                  else p.generators for p in primes]
+    prime_gens = [p.gens.generators for p in primes]
     return ffield.union_equals_ideal(ideal.generators, prime_gens,
                                      ideal.nvars(), q, budget)
 
@@ -499,36 +498,43 @@ def toric_polytope(k: int) -> PolytopePk:
 
 
 def _enumerate_facets(labelled_vertices):
-    """Exact facet enumeration: for every hyperplane spanned by vertices,
-    keep the ones supporting the polytope on one side."""
+    """Exact facet enumeration of a full-dimensional lattice polytope: every
+    hyperplane through dim vertices that supports the polytope is a facet.
+
+    Maps each facet's label set to its inward inequality (normal, offset):
+    normal . x >= offset on the polytope, with equality exactly on the
+    facet's vertices."""
     labels = [lbl for lbl, _ in labelled_vertices]
     pts = [coords for _, coords in labelled_vertices]
-    dim = len(pts[0])
-    facets = set()
-    for subset in itertools.combinations(range(len(pts)), dim):
+    facets = {}
+    for subset in itertools.combinations(range(len(pts)), len(pts[0])):
         normal_offset = _hyperplane_through(pts, subset)
         if normal_offset is None:
             continue
         normal, offset = normal_offset
         vals = [sum(a * x for a, x in zip(normal, p)) - offset for p in pts]
-        if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
-            on = frozenset(labels[i] for i, v in enumerate(vals) if v == 0)
-            if len(on) >= dim:
-                facets.add(on)
+        if all(v <= 0 for v in vals):
+            normal, offset = tuple(-a for a in normal), -offset
+        elif any(v < 0 for v in vals):
+            continue
+        on = frozenset(lbl for lbl, v in zip(labels, vals) if v == 0)
+        facets[on] = (normal, offset)
     return facets
 
 
 def _hyperplane_through(pts, subset):
-    """Normal and offset of the affine hyperplane through dim points, or
-    None when they are affinely dependent."""
+    """Primitive integer normal and offset of the affine hyperplane through
+    dim lattice points, or None when they are affinely dependent.  The
+    kernel vector has a 1 in its free column, so clearing its denominators
+    leaves it primitive."""
     base = pts[subset[0]]
     rows = [[p - b for p, b in zip(pts[i], base)] for i in subset[1:]]
     kernel = kernel_basis(ExactMatrix(rows))
     if len(kernel) != 1:
         return None
-    normal = tuple(x.re for x in kernel[0])
-    offset = sum(a * x for a, x in zip(normal, base))
-    return normal, offset
+    scale = lcm(*(x.re.denominator for x in kernel[0]))
+    normal = tuple(int(x.re * scale) for x in kernel[0])
+    return normal, sum(a * x for a, x in zip(normal, base))
 
 
 def unimodular_triangulation(p: PolytopePk):
@@ -556,33 +562,12 @@ def polytope_lattice_volume(p: PolytopePk) -> int:
     finite difference; independent of the triangulation."""
     coords = [pt for _, pt in p.vertices]
     k = p.k
-    hyperplanes = []
-    for f_labels in p.facets:
-        pts = [dict(p.vertices)[lbl] for lbl in sorted(f_labels)]
-        normal_offset = _hyperplane_through(pts, tuple(range(len(pts))))
-        if normal_offset is None:
-            raise InternalDiagnosticError("degenerate facet")
-        normal, offset = normal_offset
-        inner = [q for q in coords
-                 if sum(a * x for a, x in zip(normal, q)) != offset]
-        sample = inner[0]
-        if sum(a * x for a, x in zip(normal, sample)) < offset:
-            normal = tuple(-a for a in normal)
-            offset = -offset
-        hyperplanes.append((normal, offset))
-
-    int_planes = []
-    for normal, offset in hyperplanes:
-        scale = 1
-        for x in list(normal) + [offset]:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
-        int_planes.append(([int(x * scale) for x in normal],
-                           int(offset * scale)))
+    planes = list(_enumerate_facets(p.vertices).values())
 
     import numpy as np
 
-    normals = np.asarray([nrm for nrm, _ in int_planes], dtype=np.int64)
-    offsets = np.asarray([off for _, off in int_planes], dtype=np.int64)
+    normals = np.asarray([nrm for nrm, _ in planes], dtype=np.int64)
+    offsets = np.asarray([off for _, off in planes], dtype=np.int64)
 
     def count(t):
         if t == 0:
@@ -610,12 +595,18 @@ class SingCell:
     kind: str                # "simplex" | "toric"
     vertex_labels: frozenset
     prime: PrimeFamily
-    face_sets: tuple = ()    # vertex sets of all faces, toric cells only
+    facets: tuple = ()       # facet label sets, toric cells only
 
     def is_face(self, labels: frozenset) -> bool:
+        """A face of a polytope is the intersection of the facets holding
+        it (the whole polytope when no facet does)."""
         if self.kind == "simplex":
             return labels <= self.vertex_labels
-        return labels in self.face_sets
+        closure = self.vertex_labels
+        for facet in self.facets:
+            if labels <= facet:
+                closure &= facet
+        return labels == closure
 
 
 @dataclass(frozen=True)
@@ -631,31 +622,12 @@ class SingComplex:
         return [frozenset({"0"}) | c.vertex_labels for c in self.cells]
 
 
-def _toric_face_sets(labelled_vertices):
-    """All vertex sets of faces: intersections of facet vertex sets."""
-    facets = _enumerate_facets(labelled_vertices)
-    all_labels = frozenset(lbl for lbl, _ in labelled_vertices)
-    faces = {all_labels} | set(facets)
-    frontier = set(facets)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in facets:
-                c = a & b
-                if c and c not in faces:
-                    new.add(c)
-        faces |= new
-        frontier = new
-    faces |= {frozenset({lbl}) for lbl in all_labels}
-    return tuple(sorted(faces, key=sorted))
-
-
 def build_sing_complex(n: int, k: int) -> SingComplex:
     """Cells for every prime family, glued along shared vertex labels.
 
     Variable-generated primes give simplices on their complementary
     variables; the toric primes carry the chain polytope with its labelled
-    face lattice."""
+    facets."""
     fams = primary_components(n, k)
     names = reduced_variables(n, k)
     cells = []
@@ -675,9 +647,10 @@ def build_sing_complex(n: int, k: int) -> SingComplex:
         else:
             i = fam.data[0]
             verts = _qi_polytope_vertices(n, k, i)
+            facets = tuple(sorted(_enumerate_facets(verts), key=sorted))
             cells.append(SingCell(f"P{i}", "toric",
                                   frozenset(lbl for lbl, _ in verts), fam,
-                                  face_sets=_toric_face_sets(verts)))
+                                  facets))
     inters = {}
     for a, b in itertools.combinations(range(len(cells)), 2):
         common = cells[a].vertex_labels & cells[b].vertex_labels

@@ -17,7 +17,10 @@ from hilbfold.cli import main
 from hilbfold.export import (complex_to_dict, dict_to_json, polytope_to_off,
                              render_svg, sing_complex_to_dict)
 from hilbfold.hypercomplex import build_complex
-from hilbfold.localmodel import build_sing_complex, toric_polytope
+from hilbfold.localmodel import (build_sing_complex, primary_components,
+                                 reduced_ideal, toric_polytope,
+                                 verify_decomposition_ff, verify_reduction,
+                                 verify_sing_complex)
 
 
 def run(capsys, argv):
@@ -457,6 +460,20 @@ def test_local_2_1_translates_both_families(capsys):
     assert capsys.readouterr().out == (
         "single_line(): smoothable len-2 on axis 1\n"
         "line_plus_point(2,): smoothable len-1 on axis 1 x len-1 on axis 2\n")
+
+
+def test_local_1_1_is_one_smooth_component(capsys):
+    # the reduced ideal has no generators: one family, one cell
+    rc, out = run(capsys, ["local", "-n", "1", "-k", "1"])
+    assert rc == 0 and out.splitlines()[0].endswith(": 1")
+    rc, out = run(capsys, ["local", "-n", "1", "-k", "1", "--json"])
+    assert rc == 0 and json.loads(out)["component_count"] == 1
+    sc = build_sing_complex(1, 1)
+    for q in (2, 3):
+        assert verify_decomposition_ff(reduced_ideal(1, 1),
+                                       primary_components(1, 1), q)
+        assert verify_reduction(1, 1, (3,), q)
+        assert verify_sing_complex(sc, q)
 
 
 def test_python_dash_m_runs_the_cli():

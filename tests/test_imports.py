@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every module-level private function or class is used by the package."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,37 @@ def unused_imports(source: str):
     return [name for name in bound if name not in read]
 
 
+def _referenced(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def private_definitions(sources):
+    """Names of the module-level private functions and classes (a leading
+    underscore, not a dunder) defined in the sources."""
+    return [stmt.name for source in sources for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and stmt.name.startswith("_")
+            and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+
+
+def orphaned_privates(sources):
+    """Private definitions that no other module-level statement of the
+    sources reads, accesses as an attribute or imports."""
+    used = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            used |= {_referenced(node) for node in ast.walk(stmt)} - {own}
+    return [name for name in private_definitions(sources) if name not in used]
+
+
 def test_unused_import_is_found():
     assert unused_imports("import os\nfrom math import comb, gcd as g\n"
                           "print(comb, os.sep)\n") == ["g"]
@@ -32,3 +64,17 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_orphaned_private_is_found():
+    sources = ["def _kept(): pass\ndef _gone(): return _gone()\n"
+               "class _Spare: pass\ndef __getattr__(name): pass\n",
+               "from m import _kept\n"]
+    assert orphaned_privates(sources) == ["_gone", "_Spare"]
+
+
+def test_no_orphaned_private_definitions():
+    package = Path(hilbfold.__file__).parent.glob("*.py")
+    sources = [p.read_text() for p in package]
+    assert len(private_definitions(sources)) > 40
+    assert orphaned_privates(sources) == []

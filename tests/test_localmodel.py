@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from hilbfold.localmodel import (ComponentTranslation, PolyIdealGens,
                                  unimodular_triangulation,
                                  verify_decomposition_ff, verify_reduction,
                                  verify_sing_complex)
+from hilbfold.localmodel import _enumerate_facets, _qi_polytope_vertices
 from test_ffield import reference_chunks, reference_mask, reference_tables
 
 ACCEPTANCE_PAIRS = [(2, 1), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
@@ -80,7 +82,8 @@ def test_poly_ideal_rejects_triple_terms():
 # -- primary decompositions ---------------------------------------------------
 
 @pytest.mark.parametrize("n,k,expected", [(3, 1, 4), (4, 1, 5), (3, 2, 5),
-                                          (4, 2, 7), (3, 3, 6), (2, 1, 2)])
+                                          (4, 2, 7), (3, 3, 6), (2, 1, 2),
+                                          (1, 1, 1)])
 def test_family_counts(n, k, expected):
     assert len(primary_components(n, k)) == expected
     assert local_component_count(n, k) == expected
@@ -195,7 +198,74 @@ def test_triangulation_simplices_use_vertices():
         assert len(simplex) == 5
 
 
+def _toric_vertex_sets():
+    """The labelled vertices of toric_polytope(k), k = 2..5, and of every
+    Q-cell up to (5,5)."""
+    for k in range(2, 6):
+        yield toric_polytope(k).vertices
+    for n in range(2, 6):
+        for k in range(2, n + 1):
+            for i in range(1, n + 1):
+                yield _qi_polytope_vertices(n, k, i)
+
+
+def test_facet_inequalities_are_primitive_inward_and_tight():
+    for verts in _toric_vertex_sets():
+        facets = _enumerate_facets(verts)
+        assert facets
+        for labels, (normal, offset) in facets.items():
+            assert all(type(x) is int for x in normal + (offset,))
+            assert math.gcd(*normal) == 1
+            for lbl, coords in verts:
+                value = sum(a * x for a, x in zip(normal, coords))
+                assert value >= offset, (labels, lbl)
+                assert (value == offset) == (lbl in labels), (labels, lbl)
+
+
 # -- singularity complexes ---------------------------------------------------------
+
+def _toric_face_sets(labelled_vertices):
+    """All vertex sets of faces: intersections of facet vertex sets."""
+    facets = _enumerate_facets(labelled_vertices)
+    all_labels = frozenset(lbl for lbl, _ in labelled_vertices)
+    faces = {all_labels} | set(facets)
+    frontier = set(facets)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in facets:
+                c = a & b
+                if c and c not in faces:
+                    new.add(c)
+        faces |= new
+        frontier = new
+    faces |= {frozenset({lbl}) for lbl in all_labels}
+    return tuple(sorted(faces, key=sorted))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6)
+                                 for k in range(2, n + 1)])
+def test_toric_is_face_matches_face_lattice(n, k):
+    toric = [c for c in build_sing_complex(n, k).cells if c.kind == "toric"]
+    assert len(toric) == n
+    for cell in toric:
+        verts = _qi_polytope_vertices(n, k, int(cell.label[1:]))
+        faces = set(_toric_face_sets(verts))
+        labels = sorted(cell.vertex_labels)
+        for size in range(1, len(labels) + 1):
+            for subset in itertools.combinations(labels, size):
+                subset = frozenset(subset)
+                assert cell.is_face(subset) == (subset in faces), subset
+
+
+def test_square_diagonal_is_not_a_face():
+    square = next(c for c in build_sing_complex(3, 2).cells
+                  if c.label == "P3")
+    # a3_1, a3_2 stand for a1, a2 of the P_2 square
+    assert square.is_face(frozenset({"a3_1", "b2"}))
+    assert not square.is_face(frozenset({"a3_1", "b1"}))
+    assert not square.is_face(frozenset({"a3_2", "b2"}))
+
 
 def test_sing_complex_3_2_census():
     sc = build_sing_complex(3, 2)
