@@ -13,7 +13,8 @@ from fractions import Fraction
 from math import comb
 
 from .foldring import InternalDiagnosticError, PunctualIdeal
-from .hypercomplex import HyperCell, build_complex, compositions, kappa
+from .hypercomplex import (HyperCell, build_complex, compositions,
+                           count_maximal_cells, kappa)
 from .moment import moment_global
 
 
@@ -82,7 +83,8 @@ def punctual_count(n: int, m: int) -> CountComparison:
     if n == 1:
         # the punctual locus of a single smooth branch is one point
         return CountComparison(1, Fraction(1), True)
-    value = sum(comb(l + m - 2, n - 1) for l in range(max(1, n + 1 - m), n))
+    # each component's moment image is one cell of K(n, m) (see .cell)
+    value = count_maximal_cells(n, m)
     if n >= m:
         closed = Fraction(m - 1, n) * comb(m + n - 2, n - 1)
     else:
@@ -107,18 +109,14 @@ class IntersectionDescriptor:
 
 
 def intersect_components(c1: GrassComponent, c2: GrassComponent):
-    """Empty unless the degree vectors differ by a {0,1,-1}-vector (the
-    all-ones differences cannot occur between genuine components)."""
+    """Empty unless the degree vectors differ by a {0,1,-1}-vector (an
+    all-ones difference cannot occur: |u1| - |u2| = l1 - l2 < n)."""
     if (c1.n, c1.m) != (c2.n, c2.m):
         raise ValueError("components of different punctual loci")
-    if c1 == c2:
-        return IntersectionDescriptor(c1.l, c1.n, tuple(range(c1.n)), {}, {})
     d = tuple(a - b for a, b in zip(c1.u, c2.u))
     if any(x not in (-1, 0, 1) for x in d):
         return None
     up, down, same = kappa(d, 1), kappa(d, -1), kappa(d, 0)
-    if len(up) == c1.n or len(down) == c1.n:
-        return None
     if not 0 <= c1.l - len(up) <= len(same):
         # the would-be Grassmannian Gr(r, s) with r > s is empty
         return None

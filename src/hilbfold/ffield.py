@@ -203,16 +203,21 @@ def count_vanishing(gens, nvars, q, budget=DEFAULT_BUDGET) -> int:
 
 
 def projection_into_variety(big_gens, big_nvars, small_gens, small_nvars,
-                            var_map, q, budget=DEFAULT_BUDGET) -> bool:
+                            var_map, q,
+                            budget=DEFAULT_BUDGET) -> int | None:
     """Every F_q-point of the big variety must project (via var_map:
-    small index -> big index) onto a point of the small one."""
+    small index -> big index) onto a point of the small one.  Returns the
+    number of F_q-points of the big variety, or None as soon as one of
+    them does not project."""
     small_tables = compile_tables(small_gens, small_nvars)
     cols = [var_map[i] for i in range(small_nvars)]
+    count = 0
     for X, (on_big,) in _walk([big_gens], big_nvars, q, budget):
         if on_big.any() and not vanishing_mask(
                 X[on_big][:, cols], small_tables, q).all():
-            return False
-    return True
+            return None
+        count += int(on_big.sum())
+    return count
 
 
 def coordinate_subspace_equals_intersection(gens_list, live_vars, nvars, q,

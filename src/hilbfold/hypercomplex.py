@@ -60,6 +60,17 @@ class HyperCell:
         return all(self.shift[i] <= point[i] <= self.shift[i] + 1
                    for i in range(self.n))
 
+    def face_through(self, points) -> Face:
+        """The smallest face containing the given points of the cell: on
+        every axis where all the points sit at shift_i, or all sit at
+        shift_i + 1, the face is pinned there."""
+        shift = self.shift
+        s1 = s2 = range(self.n)
+        for p in points:
+            s1 = [i for i in s1 if p[i] == shift[i]]
+            s2 = [i for i in s2 if p[i] == shift[i] + 1]
+        return Face(self.n, self.l, shift, frozenset(s1), frozenset(s2))
+
     def sort_key(self):
         return (self.l, self.shift)
 
@@ -194,8 +205,7 @@ class ComplexKnm:
     Immutable: n, m and cells are read-only, so one instance can be shared
     by every caller (build_complex memoises it).  Adjacency is never stored:
     meetings() is the one neighbour walk, yielding each meeting pair with
-    its face descriptor, so the export reads it without building Face
-    objects; adjacency is a Face-valued view of the same walk."""
+    its face descriptor."""
 
     __slots__ = ("_n", "_m", "_cells", "_index")
 
@@ -280,16 +290,6 @@ class ComplexKnm:
                 yield i, j, s1, s2
 
     @property
-    def adjacency(self):
-        """Read-only map (i, j) -> common Face of cells i < j, for every
-        meeting pair: a view of meetings()."""
-        cells = self.cells
-        return MappingProxyType({
-            (i, j): Face(self.n, cells[i].l, cells[i].shift,
-                         frozenset(s1), frozenset(s2))
-            for i, j, s1, s2 in self.meetings()})
-
-    @property
     def is_point(self):
         return not self.cells
 
@@ -303,7 +303,7 @@ class ComplexKnm:
         return None
 
     def __eq__(self, other):
-        # adjacency is a function of the cells, so equal cells suffice
+        # the meetings are a function of the cells, so equal cells suffice
         if not isinstance(other, ComplexKnm):
             return NotImplemented
         return (self.n == other.n and self.m == other.m
@@ -382,7 +382,8 @@ def count_maximal_cells(n: int, m: int) -> int:
 
 def slice_complex(K: ComplexKnm, axes, values) -> ComplexKnm:
     """Intersect with {lambda_i = values[i] : i in axes} and project out the
-    pinned axes; the result is again a hypersimplicial subdivision."""
+    pinned axes.  The result is the memoised K(n - |axes|, m - |values|):
+    the projected cells are checked to be exactly its cells."""
     axes = tuple(axes)
     values = tuple(values)
     if len(axes) != len(values):
@@ -394,7 +395,7 @@ def slice_complex(K: ComplexKnm, axes, values) -> ComplexKnm:
     keep = [i for i in range(K.n) if i not in set(axes)]
     pin = dict(zip(axes, values))
     n2, m2 = K.n - len(axes), K.m - sum(values)
-    collected = {}
+    keys = set()
     degenerate = []
     for cell in K.cells:
         ok = all(cell.shift[i] <= pin[i] <= cell.shift[i] + 1 for i in axes)
@@ -402,15 +403,17 @@ def slice_complex(K: ComplexKnm, axes, values) -> ComplexKnm:
             continue
         s2 = sum(1 for i in axes if pin[i] == cell.shift[i] + 1)
         l2 = cell.l - s2
-        shift2 = tuple(cell.shift[i] for i in keep)
         if 1 <= l2 <= n2 - 1:
-            collected[(l2, shift2)] = HyperCell(n2, l2, shift2)
+            keys.add((l2, tuple(cell.shift[i] for i in keep)))
         else:
             verts = [tuple(v[i] for i in keep)
                      for v in cell.vertices()
                      if all(v[i] == pin[i] for i in axes)]
             degenerate.append(verts)
-    result = ComplexKnm(n2, m2, cells=list(collected.values()))
+    result = build_complex(n2, m2)
+    if result._index.keys() != keys:
+        raise InternalDiagnosticError(
+            f"slice of K({K.n},{K.m}) at {pin} is not K({n2},{m2})")
     for verts in degenerate:
         if result.is_point:
             continue
@@ -470,20 +473,11 @@ def _smoothable_recursive(face: Face, K: ComplexKnm) -> bool:
     proj = frozenset(tuple(v[i] for i in keep) for v in fv)
     for cell in sliced.cells:
         if proj <= cell.vertices():
-            image = _face_from_vertices(proj, cell)
-            if image is not None:
+            image = cell.face_through(proj)
+            if image.vertices() == proj:
                 return _smoothable_recursive(image, sliced)
     raise InternalDiagnosticError(
         "sliced face image not found in the sliced complex")
-
-
-def _face_from_vertices(verts, cell: HyperCell):
-    """The face of a cell with the given vertex set, if any."""
-    for d in range(cell.n):
-        for f in faces_of(cell, d):
-            if f.vertices() == verts:
-                return f
-    return None
 
 
 def is_singular_face(face: Face, K: ComplexKnm) -> bool:

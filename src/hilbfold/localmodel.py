@@ -34,7 +34,6 @@ class PolyIdealGens:
 
     variables: tuple
     generators: tuple
-    free_variables: tuple = ()
 
     def __post_init__(self):
         nv = len(self.variables)
@@ -180,7 +179,7 @@ def reduced_ideal(n: int, k: int) -> PolyIdealGens:
     """The eliminated presentation of the deformation ring.
 
     Independent of the degree vector; the dropped series coefficients are
-    free and recorded as name patterns in free_variables."""
+    free, which verify_reduction counts as a factor q^free."""
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     names = reduced_variables(n, k)
@@ -194,8 +193,7 @@ def reduced_ideal(n: int, k: int) -> PolyIdealGens:
         for i, j in itertools.combinations(range(2, n + 1), 2):
             gens.append(_gen(_mono(1, (idx[f"a{i}"], 1),
                                    (idx[f"a{j}"], 1), (a11, 1))))
-        return PolyIdealGens(names, tuple(gens),
-                             free_variables=("a1_s for 2 <= s",))
+        return PolyIdealGens(names, tuple(gens))
 
     def b(j):
         return idx[f"b{j}"]
@@ -226,8 +224,7 @@ def reduced_ideal(n: int, k: int) -> PolyIdealGens:
                 if i != r and i != j:
                     gens.append(_gen(_mono(1, (al(i, r), 1), (al(j, r), 1),
                                            (b(r), 1))))
-    return PolyIdealGens(names, tuple(gens),
-                         free_variables=("b{i}_s for 2 <= s <= u_i - 1",))
+    return PolyIdealGens(names, tuple(gens))
 
 
 # --------------------------------------------------------------------------
@@ -388,13 +385,12 @@ def technical_ideal(n: int, axes):
     return ideal, primes
 
 
-def verify_decomposition_ff(ideal: PolyIdealGens, primes, q: int,
-                            budget=ffield.DEFAULT_BUDGET) -> bool:
+def verify_decomposition_ff(ideal: PolyIdealGens, primes, q: int) -> bool:
     """Pointwise over F_q: the ideal vanishes exactly on the union of the
     primes' vanishing loci."""
     prime_gens = [p.gens.generators for p in primes]
     return ffield.union_equals_ideal(ideal.generators, prime_gens,
-                                     ideal.nvars(), q, budget)
+                                     ideal.nvars(), q)
 
 
 def pairwise_incomparable(primes) -> bool:
@@ -406,11 +402,11 @@ def pairwise_incomparable(primes) -> bool:
     return True
 
 
-def verify_reduction(n: int, k: int, u, q: int,
-                     budget=ffield.DEFAULT_BUDGET) -> bool:
+def verify_reduction(n: int, k: int, u, q: int) -> bool:
     """The eliminated presentation must match the full deformation ideal
     over F_q: the big variety projects into the small one, and the point
-    counts agree up to the free series coefficients."""
+    counts agree up to the free series coefficients.  The big variety is
+    walked once, for both."""
     u = tuple(u)
     big = deformation_ideal(n, k, u)
     small = reduced_ideal(n, k)
@@ -431,13 +427,12 @@ def verify_reduction(n: int, k: int, u, q: int,
                     mapping[small.var_index(f"a{i}_{j}")] = \
                         big_idx[f"a{i}_{j}_{u[j - 1] - 1}"]
         free = sum(u[j] - 2 for j in range(k))
-    if not ffield.projection_into_variety(
-            big.generators, big.nvars(), small.generators, small.nvars(),
-            mapping, q, budget):
+    big_count = ffield.projection_into_variety(
+        big.generators, big.nvars(), small.generators, small.nvars(),
+        mapping, q)
+    if big_count is None:
         return False
-    big_count = ffield.count_vanishing(big.generators, big.nvars(), q, budget)
-    small_count = ffield.count_vanishing(small.generators, small.nvars(), q,
-                                         budget)
+    small_count = ffield.count_vanishing(small.generators, small.nvars(), q)
     return big_count == small_count * q ** free
 
 
@@ -710,8 +705,7 @@ def expected_intersection_labels(n, k, fam_a: PrimeFamily, fam_b: PrimeFamily):
     return frozenset(labels)
 
 
-def verify_sing_complex(sc: SingComplex, q: int,
-                        budget=ffield.DEFAULT_BUDGET) -> bool:
+def verify_sing_complex(sc: SingComplex, q: int) -> bool:
     """Every pairwise label intersection must equal the pointwise
     intersection of the two varieties over F_q, all pairs in one walk."""
     names = sc.variables
@@ -719,7 +713,7 @@ def verify_sing_complex(sc: SingComplex, q: int,
             for pair, common in sc.intersections.items()}
     return ffield.coordinate_subspace_equals_intersection(
         [cell.prime.gens.generators for cell in sc.cells], live, len(names),
-        q, budget)
+        q)
 
 
 # --------------------------------------------------------------------------

@@ -203,9 +203,7 @@ def locate(point: MomentPoint, K: ComplexKnm) -> Face:
         raise ValueError("point outside the dilated simplex")
     found = None
     for cell in K.cells_containing(coords):
-        s1 = frozenset(i for i in range(K.n) if coords[i] == cell.shift[i])
-        s2 = frozenset(i for i in range(K.n) if coords[i] == cell.shift[i] + 1)
-        face = Face(K.n, cell.l, cell.shift, s1 - s2, s2)
+        face = cell.face_through((coords,))
         if found is None:
             found = face
         elif found != face:

@@ -140,7 +140,7 @@ def test_criterion_06_complex_structure():
                         if sum(values) > m - 1:
                             continue
                         sliced = slice_complex(K, axes, values)
-                        assert sliced == build_complex(n - size,
+                        assert sliced is build_complex(n - size,
                                                        m - sum(values))
     elapsed = time.time() - start
     assert elapsed < 10.0

@@ -277,6 +277,46 @@ def test_verify_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
+PUNCTUAL_GRID = [["count", "--punctual", "-n", str(n), "-m", str(m)]
+                 for n in range(1, 6) for m in range(2, 7)]
+
+# sha256 of the concatenated outputs of each command list; a change to a
+# listing or a count on purpose changes it
+PINNED_OUTPUTS = {
+    "components": ([["components", "-n", "4", "-m", "5"]],
+                   "9097b2d75005a15a45fc6bc3263181373685c03137091efcaa169404"
+                   "cd5a8a61"),
+    "components-json": ([["components", "-n", "4", "-m", "5", "--json"]],
+                        "4269747276a5d67aa58d671239b431002e3e6bbedd88af70422"
+                        "55dcc122973f5"),
+    "components-mprime": ([["components", "-n", "5", "-m", "5", "--mprime",
+                            "3"]],
+                          "d954a3e5881bc405d972e898724856ea6e9fddb9fca722df3"
+                          "e84b036dba98ef6"),
+    "components-mprime-json": ([["components", "-n", "5", "-m", "5",
+                                 "--mprime", "3", "--json"]],
+                               "c819cb720e6ac6246a2ec84da038f27d30646e3e64c5"
+                               "dd20e86e001bef77fd32"),
+    "count-punctual": (PUNCTUAL_GRID,
+                       "100d8b2975d755524124c634be81f740d9eefabccf5e29d5ab62"
+                       "0534bf4cf999"),
+    "count-punctual-json": ([argv + ["--json"] for argv in PUNCTUAL_GRID],
+                            "791815ee01e13799aefa9547f50507a74bb96b82db937a3"
+                            "39978ac0cb6a8f7c1"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_listing_and_count_outputs_are_pinned(name, capsys):
+    argvs, digest = PINNED_OUTPUTS[name]
+    text = ""
+    for argv in argvs:
+        rc, out = run(capsys, argv)
+        assert rc == 0, argv
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_strict_turns_flagged_mismatch_into_failure(capsys):
     assert main(["count", "--punctual", "-n", "2", "-m", "3"]) == 0
     capsys.readouterr()
@@ -422,6 +462,16 @@ def test_cell_count_disagreement_exits_3(capsys, monkeypatch):
     assert not captured.out
     assert captured.err.startswith("internal diagnostic failure: ")
     assert "cell count" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_punctual_count_disagreement_exits_3(capsys, monkeypatch):
+    from hilbfold import components
+    monkeypatch.setattr(components, "count_maximal_cells", lambda n, m: 0)
+    assert main(["count", "--punctual", "-n", "3", "-m", "4"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("internal diagnostic failure: ")
     assert len(captured.err.splitlines()) == 1
 
 

@@ -159,7 +159,7 @@ def test_graph_edges_match_complex_adjacency():
                 a = cell_index[g.nodes[i].cell]
                 b = cell_index[g.nodes[j].cell]
                 mapped.add((min(a, b), max(a, b)))
-            assert mapped == set(K.adjacency)
+            assert mapped == {(i, j) for i, j, _, _ in K.meetings()}
 
 
 # -- global components ------------------------------------------------------------

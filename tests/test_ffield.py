@@ -233,6 +233,22 @@ def test_budget_guard():
         ffield.count_vanishing(simple_gens(), 3, 3, budget=10)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_projection_counts_the_big_variety_or_refuses(q):
+    gens = simple_gens()
+    # V(xy, xz - y) projects onto V(xy) in the (x, y) plane, and the walk
+    # counts its points on the way
+    assert ffield.projection_into_variety(gens, 3, gens[:1], 2,
+                                          {0: 0, 1: 1}, q) == \
+        ffield.count_vanishing(gens, 3, q)
+    # but not onto V(x): (1, 0, 0) lies on it
+    x = [((1, ((0, 1),)),)]
+    assert ffield.projection_into_variety(gens, 3, x, 1, {0: 0}, q) is None
+    # an empty big variety projects, with no points
+    assert ffield.projection_into_variety([((1, ()),)], 2, x, 1, {0: 0},
+                                          q) == 0
+
+
 def test_count_vanishing_simple():
     # x*y = 0 over F_2^2: points (0,0), (0,1), (1,0)
     gens = [((1, ((0, 1), (1, 1))),)]

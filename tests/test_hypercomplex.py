@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hilbfold.export import complex_to_dict
+from hilbfold.foldring import InternalDiagnosticError
 from hilbfold.hypercomplex import (ComplexKnm, Face, HyperCell, build_complex,
                                    cell_as_face, cells_at_vertex,
                                    count_maximal_cells, faces_of,
@@ -55,6 +56,12 @@ def test_vertex_count_of_cell():
 
 # -- intersections -----------------------------------------------------------
 
+def meeting_face(K, i, s1, s2):
+    """The Face that a meetings() entry of cell i describes."""
+    return Face(K.n, K.cells[i].l, K.cells[i].shift, frozenset(s1),
+                frozenset(s2))
+
+
 def test_intersect_two_segments_in_a_point():
     f = intersect_cells(cell(2, 1, (1, 0)), cell(2, 1, (0, 1)))
     assert f.vertices() == frozenset({(1, 1)})
@@ -84,11 +91,12 @@ def test_pairwise_intersections_are_common_faces():
     for n in range(2, 5):
         for m in range(2, 6):
             K = build_complex(n, m)
-            adjacency = K.adjacency
+            meetings = {(i, j): meeting_face(K, i, s1, s2)
+                        for i, j, s1, s2 in K.meetings()}
             for i, j in itertools.combinations(range(len(K.cells)), 2):
                 c1, c2 = K.cells[i], K.cells[j]
                 meet = c1.vertices() & c2.vertices()
-                face = adjacency.get((i, j))
+                face = meetings.get((i, j))
                 if face is None:
                     assert not meet
                 else:
@@ -109,11 +117,12 @@ def test_adjacency_equals_all_pairs_intersection():
                 face = intersect_cells(K.cells[i], K.cells[j])
                 if face is not None:
                     expected[(i, j)] = face
-            adjacency = K.adjacency
-            assert list(adjacency) == list(expected), (n, m)
+            meetings = {(i, j): meeting_face(K, i, s1, s2)
+                        for i, j, s1, s2 in K.meetings()}
+            assert list(meetings) == list(expected), (n, m)
             faces, face_index, pairs = [], {}, []
             for key, face in expected.items():
-                got = adjacency[key]
+                got = meetings[key]
                 assert (got.vertices(), got.s1, got.s2, got.shift) == \
                     (face.vertices(), face.s1, face.s2, face.shift)
                 if face.vertices() not in face_index:
@@ -169,6 +178,51 @@ def test_face_vertices_subset_of_cell():
             assert f.vertices() <= c.vertices()
 
 
+def face_from_vertices(verts, cell):
+    """The face of a cell with the given vertex set, if any: a search over
+    every codimension, the reference for HyperCell.face_through."""
+    for d in range(cell.n):
+        for f in faces_of(cell, d):
+            if f.vertices() == verts:
+                return f
+    return None
+
+
+def test_face_through_matches_face_search():
+    # every face of every cell, n, m <= 5: the same face, descriptor included
+    for n in range(2, 6):
+        for m in range(2, 6):
+            for c in build_complex(n, m).cells:
+                for d in range(n):
+                    for f in faces_of(c, d):
+                        got = c.face_through(f.vertices())
+                        ref = face_from_vertices(f.vertices(), c)
+                        assert (got.vertices(), got.s1, got.s2) == \
+                            (ref.vertices(), ref.s1, ref.s2), (c, f)
+
+
+def test_face_through_rejects_vertex_sets_that_are_not_faces():
+    # every nonempty vertex subset of every cell, n <= 4 and m <= 5: the
+    # smallest face through it has exactly its vertices when it is a face
+    rejected = 0
+    for n in range(2, 5):
+        for m in range(2, 6):
+            for c in build_complex(n, m).cells:
+                verts = sorted(c.vertices())
+                for r in range(1, len(verts) + 1):
+                    for subset in map(frozenset,
+                                      itertools.combinations(verts, r)):
+                        got = c.face_through(subset)
+                        ref = face_from_vertices(subset, c)
+                        assert subset <= got.vertices()
+                        if ref is None:
+                            assert got.vertices() != subset, (c, subset)
+                            rejected += 1
+                        else:
+                            assert got == ref, (c, subset)
+    assert rejected > 0
+
+
 def test_face_identity_by_vertex_set():
     a = intersect_cells(cell(2, 1, (1, 0)), cell(2, 1, (0, 1)))
     b = intersect_cells(cell(2, 1, (0, 1)), cell(2, 1, (1, 0)))
@@ -217,24 +271,24 @@ def test_build_complex_is_memoised_and_immutable():
     assert build_complex(3, 4) is K
     cells = K.cells
     for attr, value in [("cells", ()), ("n", 4), ("m", 5),
-                        ("adjacency", {})]:
+                        ("meetings", None)]:
         with pytest.raises(AttributeError):
             setattr(K, attr, value)
     assert K.cells is cells and (K.n, K.m) == (3, 4)
     with pytest.raises(TypeError):
-        K.adjacency[(0, 1)] = None
+        K.cells[0] = None
 
 
 # -- slicing -------------------------------------------------------------------
 
 def test_slice_drops_an_axis():
     K = build_complex(3, 3)
-    assert slice_complex(K, [2], [0]) == build_complex(2, 3)
+    assert slice_complex(K, [2], [0]) is build_complex(2, 3)
 
 
 def test_slice_at_level_one():
     K = build_complex(3, 4)
-    assert slice_complex(K, [2], [1]) == build_complex(2, 3)
+    assert slice_complex(K, [2], [1]) is build_complex(2, 3)
 
 
 def test_slice_identity_on_empty_axis_set():
@@ -253,7 +307,20 @@ def test_slice_isomorphism_grid():
                             continue
                         sliced = slice_complex(K, axes, values)
                         expected = build_complex(n - size, m - sum(values))
-                        assert sliced == expected, (n, m, axes, values)
+                        assert sliced is expected, (n, m, axes, values)
+
+
+def test_slice_that_is_not_the_smaller_complex_is_refused(monkeypatch):
+    from hilbfold import hypercomplex
+    K = build_complex(3, 4)
+    full = build_complex(2, 3)
+
+    def short_of_a_cell(n, m):
+        assert (n, m) == (2, 3)
+        return ComplexKnm(n, m, cells=full.cells[:-1])
+    monkeypatch.setattr(hypercomplex, "build_complex", short_of_a_cell)
+    with pytest.raises(InternalDiagnosticError, match=r"is not K\(2,3\)"):
+        slice_complex(K, [2], [1])
 
 
 # -- smoothable and singular faces ---------------------------------------------

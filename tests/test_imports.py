@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every module-level private function or class is used by the package."""
+"""Every module-level import in the package is used by its module, every
+module-level private function or class is used by the package, and one
+function builds the hypersimplicial complex."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,25 @@ def orphaned_privates(sources):
     return [name for name in private_definitions(sources) if name not in used]
 
 
+def callers_of(source: str, name: str):
+    """Names of the functions that call `name`(...) in their own body
+    (nested functions count for themselves), '<module>' for calls outside
+    any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.Call) and _referenced(child.func) == name:
+                found.append(owner)
+            visit(child, owner)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_unused_import_is_found():
     assert unused_imports("import os\nfrom math import comb, gcd as g\n"
                           "print(comb, os.sep)\n") == ["g"]
@@ -78,3 +98,18 @@ def test_no_orphaned_private_definitions():
     sources = [p.read_text() for p in package]
     assert len(private_definitions(sources)) > 40
     assert orphaned_privates(sources) == []
+
+
+def test_callers_are_found():
+    source = ("K = m.ComplexKnm(1, 1)\n"
+              "def build():\n    return ComplexKnm(2, 2)\n"
+              "def outer():\n    def inner():\n        ComplexKnm(3, 3)\n"
+              "    return inner\n"
+              "def other():\n    return ComplexKnmX(2, 2)\n")
+    assert callers_of(source, "ComplexKnm") == ["<module>", "build", "inner"]
+
+
+def test_only_build_complex_constructs_a_complex():
+    callers = [caller for path in MODULES
+               for caller in callers_of(path.read_text(), "ComplexKnm")]
+    assert callers == ["build_complex"]

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hilbfold import localmodel
+from hilbfold import ffield, localmodel
 from hilbfold.foldring import InternalDiagnosticError
 from hilbfold.localmodel import (ComponentTranslation, PolyIdealGens,
                                  build_sing_complex, deformation_ideal,
@@ -157,6 +157,19 @@ def test_reduction_matches_deformation_ideal(n, k, q):
 def test_reduction_with_free_series_coefficients():
     assert verify_reduction(2, 1, (3, 1), 3)
     assert verify_reduction(3, 2, (3, 2, 1), 2)
+
+
+def test_reduction_walks_each_variety_once(monkeypatch):
+    walked = []
+    walk = ffield._walk
+
+    def counting(gens_list, nvars, q, budget):
+        walked.append(nvars)
+        return walk(gens_list, nvars, q, budget)
+    monkeypatch.setattr(ffield, "_walk", counting)
+    assert verify_reduction(3, 2, (3, 2, 1), 2)
+    big, small = deformation_ideal(3, 2, (3, 2, 1)), reduced_ideal(3, 2)
+    assert walked == [big.nvars(), small.nvars()]
 
 
 # -- polytopes ------------------------------------------------------------------
