@@ -10,9 +10,9 @@ from fractions import Fraction
 from . import components as comp
 from . import export, localmodel
 from .exact import GaussRational
-from .foldring import (FoldRingCtx, InternalDiagnosticError, NotFiniteColength,
-                       NotOriginSupported, SeparatedPoly, is_singular_point,
-                       is_smoothable, normalize_punctual, tangent_dim)
+from .foldring import (FoldRingCtx, InternalDiagnosticError, SeparatedPoly,
+                       is_singular_point, is_smoothable, normalize_punctual,
+                       tangent_dim)
 from .hypercomplex import build_complex
 from .moment import gluing_consistency_sweep, locate, moment_global
 
@@ -386,7 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NotOriginSupported, NotFiniteColength, ValueError) as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalDiagnosticError as exc:

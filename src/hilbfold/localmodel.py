@@ -67,12 +67,21 @@ class PolyIdealGens:
         return out
 
 
-def _mono(coeff, *var_powers):
-    return (coeff, tuple(var_powers))
-
-
-def _gen(*terms):
-    return tuple(terms)
+def _ideal(names, gens) -> PolyIdealGens:
+    """The ideal on the variables `names` with generators written by name:
+    each is one monomial, or a pair of monomials standing for the first
+    minus the second, and a monomial is a tuple of variable names, each to
+    the first power.  The only place where a name becomes an index."""
+    power = {name: (p, 1) for p, name in enumerate(names)}.__getitem__
+    out = []
+    for gen in gens:
+        if isinstance(gen[0], str):
+            out.append(((1, tuple(map(power, gen))),))
+        else:
+            first, second = gen
+            out.append(((1, tuple(map(power, first))),
+                        (-1, tuple(map(power, second)))))
+    return PolyIdealGens(names, tuple(out))
 
 
 # --------------------------------------------------------------------------
@@ -105,63 +114,30 @@ def deformation_ideal(n: int, k: int, u) -> PolyIdealGens:
     """The six relation blocks cutting out the deformations of the vertex
     ideal with degree vector u (u_i >= 2 exactly on the first k axes)."""
     u = _vertex_degrees(n, k, u)
-    names = deformation_variables(n, k, u)
-    idx = {name: p for p, name in enumerate(names)}
+    outer = [(i, j) for j in range(k + 1, n + 1)
+             for i in range(1, n + 1) if i != j]
+    inner = [(i, j) for j in range(1, k + 1)
+             for i in range(1, n + 1) if i != j]
+    series = [(r, s) for r in range(1, k + 1) for s in range(1, u[r - 1])]
 
-    def A(i):
-        return idx[f"A{i}"]
+    def top(i, j):
+        return f"a{i}_{j}_{u[j - 1] - 1}"
 
-    def al(i, j, s):
-        return idx[f"a{i}_{j}_{s}"]
-
-    gens = []
     # outer-axis times outer-axis coefficients
-    for j in range(k + 1, n + 1):
-        for i in range(1, n + 1):
-            if i != j:
-                gens.append(_gen(_mono(1, (A(i), 1), (A(j), 1))))
+    gens = [(f"A{i}", f"A{j}") for i, j in outer]
     # outer-axis coefficient against every series coefficient of an outer row
-    for j in range(k + 1, n + 1):
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            for r in range(1, k + 1):
-                for s in range(1, u[r - 1]):
-                    gens.append(_gen(_mono(1, (A(i), 1), (al(j, r, s), 1))))
+    gens += [(f"A{i}", f"a{j}_{r}_{s}") for i, j in outer for r, s in series]
     # top coefficient times bottom coefficient recovers the constant
-    for j in range(1, k + 1):
-        for i in range(1, n + 1):
-            if i != j:
-                gens.append(_gen(_mono(1, (al(i, j, u[j - 1] - 1), 1),
-                                       (al(j, j, 1), 1)),
-                                 _mono(-1, (A(i), 1))))
+    gens += [((top(i, j), f"a{j}_{j}_1"), (f"A{i}",)) for i, j in inner]
     # top coefficient kills the constant of its own row
-    for j in range(1, k + 1):
-        for i in range(1, n + 1):
-            if i != j:
-                gens.append(_gen(_mono(1, (al(i, j, u[j - 1] - 1), 1),
-                                       (A(j), 1))))
+    gens += [(top(i, j), f"A{j}") for i, j in inner]
     # descending recursion among the series coefficients
-    for j in range(1, k + 1):
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            for s in range(1, u[j - 1] - 1):
-                gens.append(_gen(_mono(1, (al(i, j, u[j - 1] - 1), 1),
-                                       (al(j, j, s + 1), 1)),
-                                 _mono(-1, (al(i, j, s), 1))))
+    gens += [((top(i, j), f"a{j}_{j}_{s + 1}"), (f"a{i}_{j}_{s}",))
+             for i, j in inner for s in range(1, u[j - 1] - 1)]
     # cross-row products vanish
-    for j in range(1, k + 1):
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            for r in range(1, k + 1):
-                if r == j:
-                    continue
-                for s in range(1, u[r - 1]):
-                    gens.append(_gen(_mono(1, (al(i, j, u[j - 1] - 1), 1),
-                                           (al(j, r, s), 1))))
-    return PolyIdealGens(names, tuple(gens))
+    gens += [(top(i, j), f"a{j}_{r}_{s}")
+             for i, j in inner for r, s in series if r != j]
+    return _ideal(deformation_variables(n, k, u), gens)
 
 
 def reduced_variables(n: int, k: int):
@@ -183,48 +159,26 @@ def reduced_ideal(n: int, k: int) -> PolyIdealGens:
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     names = reduced_variables(n, k)
-    idx = {name: p for p, name in enumerate(names)}
-    gens = []
     if k == 1:
-        a1 = idx["A1"]
-        a11 = idx["a1_1"]
-        for i in range(2, n + 1):
-            gens.append(_gen(_mono(1, (a1, 1), (idx[f"a{i}"], 1))))
-        for i, j in itertools.combinations(range(2, n + 1), 2):
-            gens.append(_gen(_mono(1, (idx[f"a{i}"], 1),
-                                   (idx[f"a{j}"], 1), (a11, 1))))
-        return PolyIdealGens(names, tuple(gens))
-
-    def b(j):
-        return idx[f"b{j}"]
-
-    def al(i, j):
-        return idx[f"a{i}_{j}"]
-
+        gens = [("A1", f"a{i}") for i in range(2, n + 1)]
+        gens += [(f"a{i}", f"a{j}", "a1_1")
+                 for i, j in itertools.combinations(range(2, n + 1), 2)]
+        return _ideal(names, gens)
     # column-chain products vanish
-    for i in range(1, n + 1):
-        for j in range(1, k + 1):
-            if i == j:
-                continue
-            for r in range(1, k + 1):
-                if r != j:
-                    gens.append(_gen(_mono(1, (al(i, j), 1), (al(j, r), 1))))
+    gens = [(f"a{i}_{j}", f"a{j}_{r}") for i in range(1, n + 1)
+            for j in range(1, k + 1) if i != j
+            for r in range(1, k + 1) if r != j]
     # weighted rows agree across columns
-    for i in range(1, n + 1):
-        for j in range(1, k + 1):
-            for r in range(j + 1, k + 1):
-                if i != j and i != r:
-                    gens.append(_gen(_mono(1, (al(i, j), 1), (b(j), 1)),
-                                     _mono(-1, (al(i, r), 1), (b(r), 1))))
+    gens += [((f"a{i}_{j}", f"b{j}"), (f"a{i}_{r}", f"b{r}"))
+             for i in range(1, n + 1)
+             for j, r in itertools.combinations(range(1, k + 1), 2)
+             if i != j and i != r]
     # reconstructed outer-row block (garbled in the source presentation):
     # a_{i,r} a_{j,r} b_r for r <= k < j, i distinct from r and j
-    for r in range(1, k + 1):
-        for j in range(k + 1, n + 1):
-            for i in range(1, n + 1):
-                if i != r and i != j:
-                    gens.append(_gen(_mono(1, (al(i, r), 1), (al(j, r), 1),
-                                           (b(r), 1))))
-    return PolyIdealGens(names, tuple(gens))
+    gens += [(f"a{i}_{r}", f"a{j}_{r}", f"b{r}") for r in range(1, k + 1)
+             for j in range(k + 1, n + 1)
+             for i in range(1, n + 1) if i != r and i != j]
+    return _ideal(names, gens)
 
 
 # --------------------------------------------------------------------------
@@ -243,70 +197,42 @@ class PrimeFamily:
         return self.gens.pretty()
 
 
-def _variable_ideal(idx, chosen):
-    return tuple(_gen(_mono(1, (idx[v], 1))) for v in chosen)
-
-
 def primary_components(n: int, k: int):
     """The prime families whose union is the local model, verbatim."""
     if not 1 <= k <= n:
         raise ValueError("k out of range")
     names = reduced_variables(n, k)
-    idx = {name: p for p, name in enumerate(names)}
     fams = []
     if k == 1:
-        rest = [f"a{i}" for i in range(2, n + 1)]
         # at n = 2, V(A1, a1_1) lies inside line_plus_point(2) = V(A1)
         if n >= 3:
-            fams.append(PrimeFamily(
-                "origin_pair", (),
-                PolyIdealGens(names, _variable_ideal(idx, ["A1", "a1_1"]))))
-        fams.append(PrimeFamily(
-            "single_line", (),
-            PolyIdealGens(names, _variable_ideal(idx, rest))))
+            fams.append(PrimeFamily("origin_pair", (),
+                                    _ideal(names, [("A1",), ("a1_1",)])))
+        fams.append(PrimeFamily("single_line", (), _ideal(
+            names, [(f"a{i}",) for i in range(2, n + 1)])))
         for i in range(2, n + 1):
-            chosen = ["A1"] + [f"a{j}" for j in range(2, n + 1) if j != i]
-            fams.append(PrimeFamily(
-                "line_plus_point", (i,),
-                PolyIdealGens(names, _variable_ideal(idx, chosen))))
+            fams.append(PrimeFamily("line_plus_point", (i,), _ideal(
+                names, [("A1",)] + [(f"a{j}",) for j in range(2, n + 1)
+                                    if j != i])))
         return fams
 
-    def b(j):
-        return idx[f"b{j}"]
-
-    def al(i, j):
-        return idx[f"a{i}_{j}"]
-
     for i in range(1, n + 1):
-        gens = []
         cols = [j for j in range(1, k + 1) if j != i]
-        for r, s in itertools.combinations(cols, 2):
-            gens.append(_gen(_mono(1, (al(i, r), 1), (b(r), 1)),
-                             _mono(-1, (al(i, s), 1), (b(s), 1))))
-        for r in range(1, n + 1):
-            if r == i:
-                continue
-            for s in range(1, k + 1):
-                if r != s:
-                    gens.append(_gen(_mono(1, (al(r, s), 1))))
-        fams.append(PrimeFamily("Q", (i,), PolyIdealGens(names, tuple(gens))))
+        gens = [((f"a{i}_{r}", f"b{r}"), (f"a{i}_{s}", f"b{s}"))
+                for r, s in itertools.combinations(cols, 2)]
+        gens += [(f"a{r}_{s}",) for r in range(1, n + 1) if r != i
+                 for s in range(1, k + 1) if r != s]
+        fams.append(PrimeFamily("Q", (i,), _ideal(names, gens)))
 
     for size in range(1, min(k, n - 2) + 1):
         for subset in itertools.combinations(range(1, k + 1), size):
-            s_set = set(subset)
-            gens = [_gen(_mono(1, (b(j), 1))) for j in subset]
-            for j in subset:
-                for r in range(1, k + 1):
-                    if r != j:
-                        gens.append(_gen(_mono(1, (al(j, r), 1))))
-            for r in range(1, n + 1):
-                if r in s_set:
-                    continue
-                for s in range(1, k + 1):
-                    if s not in s_set and r != s:
-                        gens.append(_gen(_mono(1, (al(r, s), 1))))
-            fams.append(PrimeFamily("J", subset,
-                                    PolyIdealGens(names, tuple(gens))))
+            gens = [(f"b{j}",) for j in subset]
+            gens += [(f"a{j}_{r}",) for j in subset
+                     for r in range(1, k + 1) if r != j]
+            gens += [(f"a{r}_{s}",) for r in range(1, n + 1)
+                     if r not in subset
+                     for s in range(1, k + 1) if s not in subset and r != s]
+            fams.append(PrimeFamily("J", subset, _ideal(names, gens)))
     return fams
 
 
@@ -348,40 +274,22 @@ def punctual_local_ring(n: int, k: int, u):
 def technical_ideal(n: int, axes):
     """The chain-product ideal on an axis subset, with its prime pieces."""
     axes = tuple(axes)
-    names = tuple(f"a{i}_{j}" for i in range(1, n + 1)
-                  for j in axes if i != j)
-    idx = {name: p for p, name in enumerate(names)}
-    gens = []
-    for j in axes:
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            for r in axes:
-                if r != j:
-                    gens.append(_gen(_mono(1, (idx[f"a{i}_{j}"], 1),
-                                           (idx[f"a{j}_{r}"], 1))))
-    ideal = PolyIdealGens(names, tuple(gens))
+    pairs = [(i, j) for i in range(1, n + 1) for j in axes if i != j]
+    names = tuple(f"a{i}_{j}" for i, j in pairs)
+    ideal = _ideal(names, [(f"a{i}_{j}", f"a{j}_{r}") for j in axes
+                           for i in range(1, n + 1) if i != j
+                           for r in axes if r != j])
     primes = []
     for size in range(0, len(axes)):
         if len(axes) == n and size == 0:
             continue
         for t_subset in itertools.combinations(axes, size):
-            t_set = set(t_subset)
-            chosen = []
-            for r in axes:
-                if r in t_set:
-                    continue
-                for s in axes:
-                    if s not in t_set and s != r:
-                        chosen.append(f"a{r}_{s}")
-            for j in t_subset:
-                for i in range(1, n + 1):
-                    if i != j:
-                        chosen.append(f"a{i}_{j}")
-            chosen = sorted(set(chosen), key=names.index)
-            primes.append(PrimeFamily(
-                "technical", (axes, t_subset),
-                PolyIdealGens(names, _variable_ideal(idx, chosen))))
+            # the columns in t die, and on the rows of the axes outside t
+            # so do the other columns
+            killed = [(f"a{i}_{j}",) for i, j in pairs if j in t_subset or
+                      (i in axes and i not in t_subset)]
+            primes.append(PrimeFamily("technical", (axes, t_subset),
+                                      _ideal(names, killed)))
     return ideal, primes
 
 
@@ -410,23 +318,19 @@ def verify_reduction(n: int, k: int, u, q: int) -> bool:
     u = tuple(u)
     big = deformation_ideal(n, k, u)
     small = reduced_ideal(n, k)
-    big_idx = {name: p for p, name in enumerate(big.variables)}
     if k == 1:
-        mapping = {small.var_index("A1"): big_idx["A1"],
-                   small.var_index("a1_1"): big_idx["a1_1_1"]}
-        for i in range(2, n + 1):
-            mapping[small.var_index(f"a{i}")] = big_idx[f"a{i}_1_{u[0] - 1}"]
+        projection = {"A1": "A1", "a1_1": "a1_1_1"}
+        projection.update({f"a{i}": f"a{i}_1_{u[0] - 1}"
+                           for i in range(2, n + 1)})
         free = u[0] - 2
     else:
-        mapping = {}
-        for j in range(1, k + 1):
-            mapping[small.var_index(f"b{j}")] = big_idx[f"a{j}_{j}_1"]
-        for i in range(1, n + 1):
-            for j in range(1, k + 1):
-                if i != j:
-                    mapping[small.var_index(f"a{i}_{j}")] = \
-                        big_idx[f"a{i}_{j}_{u[j - 1] - 1}"]
+        projection = {f"b{j}": f"a{j}_{j}_1" for j in range(1, k + 1)}
+        projection.update({f"a{i}_{j}": f"a{i}_{j}_{u[j - 1] - 1}"
+                           for i in range(1, n + 1)
+                           for j in range(1, k + 1) if i != j})
         free = sum(u[j] - 2 for j in range(k))
+    mapping = {small.var_index(s): big.var_index(b)
+               for s, b in projection.items()}
     big_count = ffield.projection_into_variety(
         big.generators, big.nvars(), small.generators, small.nvars(),
         mapping, q)

@@ -198,7 +198,7 @@ def gluing_consistency_sweep(count: int = 100, seed: int = 0) -> int:
 
 def locate(point: MomentPoint, K: ComplexKnm) -> Face:
     """The unique minimal face of the complex containing the point."""
-    coords = tuple(Fraction(c) for c in point.coords)
+    coords = point.coords
     if len(coords) != K.n or any(c < 0 for c in coords) or sum(coords) != K.m - 1:
         raise ValueError("point outside the dilated simplex")
     found = None

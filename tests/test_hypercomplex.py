@@ -8,7 +8,7 @@ from hilbfold.export import complex_to_dict
 from hilbfold.foldring import InternalDiagnosticError
 from hilbfold.hypercomplex import (ComplexKnm, Face, HyperCell, build_complex,
                                    cell_as_face, cells_at_vertex,
-                                   count_maximal_cells, faces_of,
+                                   compositions, count_maximal_cells, faces_of,
                                    intersect_cells, is_singular_face,
                                    is_smoothable_face, lattice_point_count,
                                    normalized_volume, slice_complex,
@@ -308,6 +308,15 @@ def test_slice_isomorphism_grid():
                         sliced = slice_complex(K, axes, values)
                         expected = build_complex(n - size, m - sum(values))
                         assert sliced is expected, (n, m, axes, values)
+
+
+def test_every_lattice_point_of_the_simplex_is_a_vertex():
+    """Why slice_complex needs no check of its degenerate pieces: each is
+    one lattice point of the sliced simplex, hence a vertex of a cell."""
+    for n in range(2, 6):
+        for m in range(2, 7):
+            assert set(build_complex(n, m).vertices()) == \
+                set(compositions(m - 1, n)), (n, m)
 
 
 def test_slice_that_is_not_the_smaller_complex_is_refused(monkeypatch):

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
-module-level private function or class is used by the package, and one
-function builds the hypersimplicial complex."""
+module-level private function or class is used by the package, one
+function builds the hypersimplicial complex and one builds generator
+lists."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,9 @@ def test_only_build_complex_constructs_a_complex():
     callers = [caller for path in MODULES
                for caller in callers_of(path.read_text(), "ComplexKnm")]
     assert callers == ["build_complex"]
+
+
+def test_only_ideal_constructs_generator_lists():
+    callers = [caller for path in MODULES
+               for caller in callers_of(path.read_text(), "PolyIdealGens")]
+    assert callers == ["_ideal"]

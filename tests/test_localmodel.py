@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from hilbfold import ffield, localmodel
+from hilbfold.cli import main
 from hilbfold.foldring import InternalDiagnosticError
 from hilbfold.localmodel import (ComponentTranslation, PolyIdealGens,
                                  build_sing_complex, deformation_ideal,
@@ -77,6 +79,80 @@ def test_poly_ideal_rejects_triple_terms():
     with pytest.raises(ValueError):
         PolyIdealGens(("x", "y"), (((1, ((0, 1),)), (1, ((1, 1),)),
                                     (1, ((0, 2),))),))
+
+
+# -- pinned local models ------------------------------------------------------
+
+PIN_GRID = [(n, k) for n in range(1, 6) for k in range(1, n + 1)]
+
+
+def _degree_vectors(n, k):
+    """Two degree vectors of depth k: all twos, and k + 1 down to 2."""
+    return [(2,) * k + (1,) * (n - k),
+            tuple(range(k + 1, 1, -1)) + (1,) * (n - k)]
+
+
+def _families(fams):
+    return [(f.kind, f.data, f.sigma_label, f.gens.generators) for f in fams]
+
+
+def _cli_text(argvs, capsys):
+    text = ""
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        text += capsys.readouterr().out
+    return text
+
+
+def _local_argvs(*extra):
+    return [["local", "-n", str(n), "-k", str(k), *extra]
+            for n, k in PIN_GRID]
+
+
+# sha256 of the repr of each builder's generators over PIN_GRID, and of the
+# concatenated `local` outputs; a change to a local model on purpose changes
+# it
+PINNED_LOCAL_MODELS = {
+    "deformation_ideal": (
+        lambda _: repr([deformation_ideal(n, k, u).generators
+                        for n, k in PIN_GRID for u in _degree_vectors(n, k)]),
+        "a7f2d3bf96ba12156d55b1cf43a6da1f4b3ba6313dba4e793ccc9ea2663b435e"),
+    "reduced_ideal": (
+        lambda _: repr([reduced_ideal(n, k).generators for n, k in PIN_GRID]),
+        "6ba7ad7edff78d9654b5da46c3a16289b5ce2368b43941b8315698fdc273f8b2"),
+    "primary_components": (
+        lambda _: repr([_families(primary_components(n, k))
+                        for n, k in PIN_GRID]),
+        "15aea93fbb9bad379a5fdc75b8f85e266e1980754dd5fc5b6ea02a1a8378afec"),
+    "technical_ideal": (
+        lambda _: repr([(ideal.generators, _families(primes))
+                        for n, k in PIN_GRID
+                        for axes in (range(1, k + 1), range(n - k + 1, n + 1))
+                        for ideal, primes in [technical_ideal(n, axes)]]),
+        "afe361dfe845bd2234bce4e15829a6a99726c5cfbc36aadcfa63725c216cc8a8"),
+    "punctual_local_ring": (
+        lambda _: repr([(ideal.generators, _families(primes))
+                        for n, k in PIN_GRID for u in _degree_vectors(n, k)
+                        for ideal, primes in [punctual_local_ring(n, k, u)]]),
+        "5ffa6dcd5b12d4143ddc37e448cd9b5d633d79589ce8c7475f10e3922db62545"),
+    "local": (
+        lambda capsys: _cli_text(_local_argvs(), capsys),
+        "50b1799cd1e72660988669fe94f9ca2a08401da4c82e7e30b58963252b2cd5e5"),
+    "local-json": (
+        lambda capsys: _cli_text(_local_argvs("--json"), capsys),
+        "8cc7b64698a255e9efb67be4fcaf9ae58cb36014636fef597b1022e912013a84"),
+    "local-u-json": (
+        lambda capsys: _cli_text([["local", "-n", "4", "-k", "3", "--u",
+                                   "3,2,2,1", "--json"]], capsys),
+        "6c4f4c798b36178ff279f7c4bff8557b4951224fcb6cb2b28d49b9ff6466f399"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_LOCAL_MODELS)
+def test_local_models_are_pinned(name, capsys):
+    produce, digest = PINNED_LOCAL_MODELS[name]
+    text = produce(capsys)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- primary decompositions ---------------------------------------------------
