@@ -219,6 +219,8 @@ def _cmd_local(args):
     if not 1 <= k <= n:
         raise CliError(f"local needs 1 <= k <= n, got n={n} k={k}")
     if args.format == "off":
+        if args.u is not None or args.json:
+            raise CliError("local --format off takes neither --u nor --json")
         poly = localmodel.toric_polytope(k)
         _emit(args, export.polytope_to_off(poly))
         return 0
@@ -249,15 +251,14 @@ def _cmd_local(args):
         _report(args, data, plain)
         return 0
     sc = localmodel.build_sing_complex(n, k)
-    if args.json or args.format == "json":
+    if args.json:
         data = export.sing_complex_to_dict(sc)
         data["component_count"] = localmodel.local_component_count(n, k)
         _emit(args, export.dict_to_json(data))
         return 0
-    fams = localmodel.primary_components(n, k)
     lines = [f"local components at a depth-{k} vertex of the {n}-axes ring: "
              f"{localmodel.local_component_count(n, k)}"]
-    for fam in fams:
+    for fam in (cell.prime for cell in sc.cells):
         lines.append(f"  {fam.kind}{fam.data}: " + ", ".join(fam.pretty()))
     lines.append(f"singularity complex: {len(sc.cells)} maximal cells")
     _emit(args, "\n".join(lines) + "\n")
@@ -328,7 +329,7 @@ FLAGS = {
 IDEAL_FLAGS = ("--ideal", "--json", "--out")
 
 # verb -> the --format values its handler reads
-FORMATS = {"complex": ["json", "off", "svg"], "local": ["json", "off"]}
+FORMATS = {"complex": ["json", "off", "svg"], "local": ["off"]}
 
 # verb -> (help, handler, flags it reads, flags it requires)
 VERBS = {

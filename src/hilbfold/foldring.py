@@ -435,7 +435,7 @@ def normalize_punctual(ctx: FoldRingCtx, gens) -> PunctualIdeal:
 
 
 class _QuotientRing:
-    """Monomial basis of R_n / J and multiplication-by-axis matrices, read
+    """Monomial basis of R_n / J and the action of each axis on it, read
     off the canonical presentation without elimination.
 
     The basis is 1 (first), the x_i^s with s < u_i, and x_i^{u_i} on each
@@ -466,18 +466,13 @@ class _QuotientRing:
                     coords[self.basis_pos[(j, self.ideal.u[j])]] = -c
         return coords
 
-    def mult_matrix(self, axis):
-        """m x m matrix of multiplication by x_{axis+1} on the basis:
-        entry [b][o] is the coefficient of basis o in x_{axis+1} * basis b."""
-        cols = []
-        for mono in self.basis:
-            if mono is None:
-                cols.append(self._coords(axis, 1))
-            elif mono[0] == axis:
-                cols.append(self._coords(axis, mono[1] + 1))
-            else:
-                cols.append([GR_ZERO] * self.m)
-        return cols
+    def action(self, axis):
+        """Multiplication by x_{axis+1} on the basis monomials it moves, 1
+        and the powers of that axis: (b, coordinates of x_{axis+1} * basis
+        b) pairs.  Every other basis monomial goes to 0."""
+        return [(b, self._coords(axis, 1 if mono is None else mono[1] + 1))
+                for b, mono in enumerate(self.basis)
+                if mono is None or mono[0] == axis]
 
 
 def tangent_dim(ideal: PunctualIdeal, m: int | None = None) -> int:
@@ -501,10 +496,10 @@ def tangent_dim(ideal: PunctualIdeal, m: int | None = None) -> int:
     for i in range(ideal.n):
         a = [A[r, i] for r in range(l)]
         p = next(r for r in range(l) if a[r])
-        mult = quo.mult_matrix(i)
+        moved = quo.action(i)
         for out_coord in range(mdim):
-            hits = [(b, mult[b][out_coord]) for b in range(mdim)
-                    if mult[b][out_coord]]
+            hits = [(b, coords[out_coord]) for b, coords in moved
+                    if coords[out_coord]]
             if not hits:
                 continue
             for j in range(l):
@@ -516,8 +511,6 @@ def tangent_dim(ideal: PunctualIdeal, m: int | None = None) -> int:
                         row[p * mdim + b] = a[j] * c
                     row[j * mdim + b] = -a[p] * c
                 rows.append(row)
-    if not rows:
-        return l * mdim
     _, pivots = rref(rows)
     return l * mdim - len(pivots)
 

@@ -156,8 +156,6 @@ def faces_of(cell: HyperCell, codim: int):
     n = cell.n
     if not 0 <= codim <= n - 1:
         raise ValueError("codimension out of range")
-    if codim == 0:
-        return [cell_as_face(cell)]
     if codim == n - 1:
         return [Face(n, cell.l, cell.shift,
                      frozenset(set(range(n)) - set(t)), frozenset(t))
@@ -238,8 +236,6 @@ class ComplexKnm:
 
     @staticmethod
     def _enumerate_cells(n, m):
-        if n == 1 or m == 1:
-            return []
         cells = []
         for l in range(1, min(n - 1, m - 1) + 1):
             for shift in compositions(m - 1 - l, n):
@@ -375,8 +371,6 @@ def build_complex(n: int, m: int) -> ComplexKnm:
 def count_maximal_cells(n: int, m: int) -> int:
     """Closed-form cell count, checked against the enumeration by
     build_complex."""
-    if n == 1 or m == 1:
-        return 0
     return sum(comb(m + n - l - 2, n - 1) for l in range(1, min(n - 1, m - 1) + 1))
 
 

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ExactMatrix, minor
-from .foldring import InternalDiagnosticError, PunctualIdeal
+from .foldring import FoldRingCtx, InternalDiagnosticError, PunctualIdeal
 from .hypercomplex import ComplexKnm, Face
 
 
@@ -138,14 +139,10 @@ def gluing_consistency_sweep(count: int = 100, seed: int = 0) -> int:
     """Seeded property sweep: random ideals pinned into several components
     must receive the same moment value from every one of them.
 
-    Instances follow the intersection template (one pure-power generator of
-    degree >= 2 plus generic rows on the remaining axes); any disagreement
-    raises.  Returns the number of instances checked."""
-    import random
-
-    from .exact import rank
-    from .foldring import FoldRingCtx, normalize_punctual
-
+    Instances are drawn as presentations (u, A) following the intersection
+    template: one pure-power row on an axis of degree >= 2 plus random rows
+    on the remaining axes; a draw that PunctualIdeal refuses is skipped.
+    Any disagreement raises.  Returns the number of instances checked."""
     rng = random.Random(seed)
     done = 0
     while done < count:
@@ -162,32 +159,13 @@ def gluing_consistency_sweep(count: int = 100, seed: int = 0) -> int:
         if not high:
             continue
         pinned = rng.choice(high)
-        rest = [i for i in range(n) if i != pinned]
-        if l - 1 > len(rest):
-            continue
-        ctx = FoldRingCtx(n)
-        gens = [ctx.axis_monomial(pinned, u[pinned])]
-        if l - 1:
-            while True:
-                mat = ExactMatrix([[rng.randint(-4, 4)
-                                    for _ in range(len(rest))]
-                                   for _ in range(l - 1)])
-                if rank(mat) == l - 1 and not any(
-                        all(not mat[i, j] for i in range(l - 1))
-                        for j in range(len(rest))):
-                    break
-            for r in range(l - 1):
-                f = None
-                for p, a in enumerate(rest):
-                    if mat[r, p]:
-                        t = ctx.axis_monomial(a, u[a], mat[r, p])
-                        f = t if f is None else f + t
-                gens.append(f)
+        rows = [[int(j == pinned) for j in range(n)]]
+        rows += [[0 if j == pinned else rng.randint(-4, 4) for j in range(n)]
+                 for _ in range(l - 1)]
         try:
-            ideal = normalize_punctual(ctx, gens)
+            ideal = PunctualIdeal(FoldRingCtx(n), l, tuple(u),
+                                  ExactMatrix(rows))
         except ValueError:
-            continue
-        if ideal.colength() != m:
             continue
         if len(list(containing_presentations(ideal))) < 2:
             continue

@@ -16,6 +16,7 @@ import hilbfold
 from hilbfold.cli import main
 from hilbfold.export import (complex_to_dict, dict_to_json, polytope_to_off,
                              render_svg, sing_complex_to_dict)
+from hilbfold.foldring import InternalDiagnosticError
 from hilbfold.hypercomplex import build_complex
 from hilbfold.localmodel import (build_sing_complex, primary_components,
                                  reduced_ideal, toric_polytope,
@@ -277,6 +278,26 @@ def test_verify_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
+def test_verify_reports_a_broken_gluing(capsys, monkeypatch):
+    """Containing presentations of a sweep instance differ by one row, so
+    shifting the moment on odd row counts breaks every instance."""
+    from hilbfold import moment
+    original = moment._moment_of_presentation
+
+    def shifted(n, l, u, matrix):
+        point = original(n, l, u, matrix)
+        return moment.MomentPoint((point.coords[0] + l % 2,)
+                                  + point.coords[1:])
+    monkeypatch.setattr(moment, "_moment_of_presentation", shifted)
+    with pytest.raises(InternalDiagnosticError):
+        moment.gluing_consistency_sweep(10, seed=0)
+    row = "FAIL  moment gluing sweep seed=0"
+    for argv, code in [(["verify", "--field-prime", "2", "--strict"], 3),
+                       (["verify", "--field-prime", "2"], 0)]:
+        rc, out = run(capsys, argv)
+        assert rc == code and row in out.splitlines()
+
+
 PUNCTUAL_GRID = [["count", "--punctual", "-n", str(n), "-m", str(m)]
                  for n in range(1, 6) for m in range(2, 7)]
 
@@ -400,6 +421,7 @@ def test_off_format_for_square():
     ["local", "-n", "3", "-m", "4"],
     ["verify", "-n", "3"],
     ["local", "-n", "3", "-k", "2", "--format", "svg"],
+    ["local", "-n", "3", "-k", "2", "--u", "3,2,1", "--format", "json"],
 ])
 def test_flags_of_other_verbs_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -418,6 +440,8 @@ def test_flags_of_other_verbs_are_rejected(argv, capsys):
     ["local", "-n", "3", "-k", "1", "--format", "off"],
     ["components", "-n", "3", "-m", "3", "--mprime", "9"],
     ["components", "-n", "3", "-m", "3", "--mprime", "1"],
+    ["local", "-n", "3", "-k", "2", "--format", "off", "--u", "3,2,1"],
+    ["local", "-n", "3", "-k", "2", "--format", "off", "--json"],
 ])
 def test_out_of_range_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

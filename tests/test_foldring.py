@@ -277,9 +277,10 @@ def test_tangent_colength_mismatch():
 
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_quotient_ring_closed_form(gaussian):
-    """The closed-form quotient is a ring presentation of R_n / J: products
-    of different axes vanish, x_i^{u_i + 1} and every generator map to 0,
-    and its dimension is the colength of the span."""
+    """The closed-form quotient is a ring presentation of R_n / J: x_i^s
+    is basis monomial (i, s) for s < u_i, products of different axes
+    vanish, x_i^{u_i + 1} and every generator map to 0, and its dimension
+    is the colength of the span."""
     rng = rng_for(f"quotient-closed-form-{gaussian}")
     for _ in range(40):
         n = rng.randint(1, 5)
@@ -291,17 +292,21 @@ def test_quotient_ring_closed_form(gaussian):
         quo = foldring._QuotientRing(ideal)
         m = quo.m
         assert m == colength(ctx, ideal.generators()) == ideal.colength()
-        mult = [quo.mult_matrix(i) for i in range(n)]
+        actions = [quo.action(i) for i in range(n)]
 
         def times(i, v):
-            return [sum((v[b] * mult[i][b][o] for b in range(m)), GR_ZERO)
-                    for o in range(m)]
-        one = [GaussRational(1)] + [GR_ZERO] * (m - 1)
+            return [sum((v[b] * coords[o] for b, coords in actions[i]),
+                        GR_ZERO) for o in range(m)]
+
+        def unit(b):
+            return [GaussRational(int(o == b)) for o in range(m)]
         powers = []  # powers[i][s]: coordinates of x_i^s
         for i in range(n):
-            powers.append([one])
+            powers.append([unit(0)])
             for _ in range(u[i] + 1):
                 powers[i].append(times(i, powers[i][-1]))
+            for s in range(1, u[i]):
+                assert powers[i][s] == unit(quo.basis_pos[(i, s)])
             assert not any(powers[i][u[i] + 1])
         for r in range(l):
             image = [sum((ideal.matrix[r, j] * powers[j][u[j]][o]
@@ -309,9 +314,7 @@ def test_quotient_ring_closed_form(gaussian):
             assert not any(image)
         for i, j in itertools.permutations(range(n), 2):
             for b in range(m):
-                basis = [GR_ZERO] * m
-                basis[b] = GaussRational(1)
-                assert not any(times(i, times(j, basis)))
+                assert not any(times(i, times(j, unit(b))))
 
 
 def _tangent_dim_all_pairs(ideal):
@@ -321,15 +324,15 @@ def _tangent_dim_all_pairs(ideal):
     mdim, l = quo.m, ideal.l
     rows = []
     for i in range(ideal.n):
-        mult = quo.mult_matrix(i)
+        moved = quo.action(i)
         for j, k in itertools.combinations(range(l), 2):
             cj, ck = ideal.matrix[k, i], -ideal.matrix[j, i]
             for out in range(mdim):
                 row = [GR_ZERO] * (l * mdim)
-                for b in range(mdim):
-                    if mult[b][out]:
-                        row[j * mdim + b] = cj * mult[b][out]
-                        row[k * mdim + b] = ck * mult[b][out]
+                for b, coords in moved:
+                    if coords[out]:
+                        row[j * mdim + b] = cj * coords[out]
+                        row[k * mdim + b] = ck * coords[out]
                 if any(row):
                     rows.append(row)
     return l * mdim - (len(rref(rows)[1]) if rows else 0)

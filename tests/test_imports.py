@@ -1,7 +1,7 @@
-"""Every module-level import in the package is used by its module, every
-module-level private function or class is used by the package, one
-function builds the hypersimplicial complex and one builds generator
-lists."""
+"""Every module-level import in the package is used by its module, the
+function-level imports are the listed ones, every module-level private
+function or class is used by the package, one function builds the
+hypersimplicial complex and one builds generator lists."""
 
 import ast
 from pathlib import Path
@@ -25,6 +25,38 @@ def unused_imports(source: str):
             bound += [a.asname or a.name for a in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [name for name in bound if name not in read]
+
+
+def function_imports(source: str):
+    """(function, module) for each import inside a function body, in source
+    order; a relative module keeps its leading dots."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if owner and isinstance(child, ast.Import):
+                found.extend((owner, a.name) for a in child.names)
+            elif owner and isinstance(child, ast.ImportFrom):
+                found.append((owner, "." * child.level + (child.module or "")))
+            visit(child, owner)
+    visit(ast.parse(source), None)
+    return found
+
+
+# (module file, function, imported module) -> why the import is local
+FUNCTION_IMPORTS = {
+    ("foldring.py", "is_singular_point", ".moment"):
+        "import cycle: moment imports foldring",
+    ("foldring.py", "is_smoothable", ".hypercomplex"):
+        "import cycle: hypercomplex imports foldring",
+    ("foldring.py", "is_smoothable", ".moment"):
+        "import cycle: moment imports foldring",
+    ("localmodel.py", "polytope_lattice_volume", "numpy"):
+        "numpy stays local to its one caller outside ffield (ROADMAP item 7)",
+}
 
 
 def _referenced(node):
@@ -85,6 +117,20 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_function_import_is_found():
+    source = ("import os\ndef f():\n    import random, math as m\n"
+              "    from .exact import rank\n"
+              "class C:\n    def g(self):\n        from . import moment\n")
+    assert function_imports(source) == [("f", "random"), ("f", "math"),
+                                        ("f", ".exact"), ("g", ".")]
+
+
+def test_function_level_imports_are_listed():
+    found = [(path.name, owner, module) for path in MODULES
+             for owner, module in function_imports(path.read_text())]
+    assert sorted(found) == sorted(FUNCTION_IMPORTS)
 
 
 def test_orphaned_private_is_found():
