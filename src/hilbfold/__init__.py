@@ -11,10 +11,9 @@ from .hypercomplex import (ComplexKnm, Face, HyperCell, build_complex,
                            normalized_volume, slice_complex, volume_check)
 from .moment import (MomentPoint, PluckerVector, locate, moment_component,
                      moment_global, moment_grass, plucker_of)
-from .components import (GlobalComponent, GluingGraph, GrassComponent,
-                         build_gluing_graph, curve_count, global_components,
-                         global_count, intersect_components, multi_sing_count,
-                         normalization_fiber_degree, phi_shift,
+from .components import (GlobalComponent, GrassComponent, curve_count,
+                         global_components, global_count,
+                         intersect_components, multi_sing_count,
                          punctual_components, punctual_count,
                          stratum_descriptor)
 from .localmodel import (PolyIdealGens, PolytopePk, PrimeFamily, SingComplex,

@@ -112,6 +112,9 @@ def _cmd_count(args):
 
 def _cmd_components(args):
     if args.mprime is not None:
+        if args.global_:
+            raise CliError("components takes at most one of --mprime, "
+                           "--global")
         if not 2 <= args.mprime <= min(args.m, args.n - 1):
             raise CliError(f"components needs 2 <= mprime <= min(m, n - 1), "
                            f"got n={args.n} m={args.m} "

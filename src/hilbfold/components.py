@@ -1,4 +1,5 @@
-"""Irreducible components: punctual strata, global components, gluing data.
+"""Irreducible components: punctual strata, global components, and how
+two punctual components meet.
 
 Counting is always done by direct enumeration; the closed forms are
 evaluated alongside and compared, never trusted (one of them is provably
@@ -8,14 +9,12 @@ wrong at small parameters, and the comparison records that).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .foldring import InternalDiagnosticError, PunctualIdeal
-from .hypercomplex import (HyperCell, build_complex, compositions,
-                           count_maximal_cells, kappa)
-from .moment import moment_global
+from .foldring import InternalDiagnosticError
+from .hypercomplex import HyperCell, compositions, count_maximal_cells, kappa
 
 
 def positive_compositions(total, parts):
@@ -48,9 +47,6 @@ class GrassComponent:
         """The moment-map image: a translated hypersimplex."""
         return HyperCell(self.n, self.n - self.l,
                          tuple(x - 1 for x in self.u))
-
-    def dimension(self) -> int:
-        return self.l * (self.n - self.l)
 
 
 def punctual_components(n: int, m: int):
@@ -126,31 +122,6 @@ def intersect_components(c1: GrassComponent, c2: GrassComponent):
         {i: c1.u[i] + 1 for i in sorted(down)})
 
 
-@dataclass(frozen=True)
-class GluingGraph:
-    nodes: tuple  # GrassComponents, sorted
-    edges: dict = field(compare=False)  # (i, j) -> IntersectionDescriptor
-
-
-def _gluing_graph(nodes) -> GluingGraph:
-    nodes = tuple(nodes)
-    edges = {}
-    for i, j in itertools.combinations(range(len(nodes)), 2):
-        desc = intersect_components(nodes[i], nodes[j])
-        if desc is not None:
-            edges[(i, j)] = desc
-    return GluingGraph(nodes, edges)
-
-
-def build_gluing_graph(n: int, m: int) -> GluingGraph:
-    return _gluing_graph(punctual_components(n, m))
-
-
-def restricted_gluing_graph(n: int, m: int, l: int) -> GluingGraph:
-    """The subgraph on the components with a fixed row count."""
-    return _gluing_graph(c for c in punctual_components(n, m) if c.l == l)
-
-
 # --------------------------------------------------------------------------
 # Global components.
 # --------------------------------------------------------------------------
@@ -197,7 +168,10 @@ def global_count(n: int, m: int) -> int:
 
 def curve_count(n: int, m: int) -> int:
     """Components of the length-m Hilbert scheme of an irreducible curve
-    with one rational n-fold singularity: the count plateaus at n - 1."""
+    with one rational n-fold singularity: the count plateaus at n - 1.
+
+    A closed form only: no second route computes this count (ROADMAP
+    item 4), unlike the punctual and global counts."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     return min(n - 1, m)
@@ -244,20 +218,8 @@ def _chi(j: int, budget: int, caps) -> int:
 
 
 # --------------------------------------------------------------------------
-# Degree shifts, strata and normalization fibers.
+# Strata of the nonsmoothable components.
 # --------------------------------------------------------------------------
-
-
-def phi_shift(ideal: PunctualIdeal, extra) -> PunctualIdeal:
-    """Substitute x_i -> x_i^{extra_i + 1} in an ideal with all-ones degree
-    vector; the colength grows by |extra| and the moment image translates."""
-    extra = tuple(extra)
-    if any(x < 0 for x in extra) or len(extra) != ideal.n:
-        raise ValueError("shift must be a nonnegative vector of length n")
-    if any(x != 1 for x in ideal.u):
-        raise ValueError("the ideal must have all-ones degree vector")
-    new_u = tuple(1 + e for e in extra)
-    return PunctualIdeal(ideal.ctx, ideal.l, new_u, ideal.matrix)
 
 
 @dataclass(frozen=True)
@@ -266,40 +228,20 @@ class StratumDescriptor:
     local_length: int        # mprime + u
     l: int                   # n + 1 - mprime
     component_count: int
-    subgraph: GluingGraph = field(compare=False)
 
 
 def stratum_descriptor(n: int, m: int, mprime: int, u_level: int) -> StratumDescriptor:
     """Stratum of a nonsmoothable component: a symmetric power of the curve
-    away from the singularity times a glued union of Grassmannians."""
+    away from the singularity times a glued union of Grassmannians, one per
+    degree vector of the local length with l rows."""
     if not 2 <= mprime <= min(m, n - 1):
         raise ValueError("mprime out of range")
     if not 0 <= u_level <= m - mprime:
         raise ValueError("stratum level out of range")
     l = n + 1 - mprime
     local = mprime + u_level
-    sub = restricted_gluing_graph(n, local, l)
     count = comb(u_level + n - 1, n - 1)
-    if len(sub.nodes) != count:
+    if sum(1 for _ in positive_compositions(local + l - 1, n)) != count:
         raise InternalDiagnosticError(
             "stratum component count disagrees with C(u+n-1, n-1)")
-    return StratumDescriptor(m - mprime - u_level, local, l, count, sub)
-
-
-def normalization_fiber_degree(ideal: PunctualIdeal, mprime: int) -> int:
-    """Degree of the normalization fiber over a point whose punctual part is
-    the given ideal: the number of hypersimplices of the relevant
-    subcomplex containing its moment image.
-
-    The normalization interpretation needs mprime <= n - 1; the cell count
-    itself makes sense up to mprime = n and is exposed for the full range.
-    """
-    n = ideal.n
-    if not 2 <= mprime <= n:
-        raise ValueError("mprime out of range")
-    total = ideal.colength()
-    mu = moment_global(ideal)
-    K = build_complex(n, total)
-    hyper_l = mprime - 1
-    return sum(1 for c in K.cells_containing(mu.coords) if c.l == hyper_l)
-
+    return StratumDescriptor(m - mprime - u_level, local, l, count)

@@ -80,8 +80,7 @@ def polytope_to_off(p: PolytopePk) -> str:
         lines.append(str(p.k))
     lines.append(f"{len(coords)} {len(p.facets)} 0")
     for pt in coords:
-        padded = list(pt) + [0] * max(0, 3 - len(pt)) if p.k < 3 else list(pt)
-        lines.append(" ".join(str(x) for x in padded))
+        lines.append(" ".join(str(x) for x in pt))
     for facet in sorted(p.facets, key=sorted):
         members = sorted(index[lbl] for lbl in facet)
         lines.append(" ".join([str(len(members))] + [str(i) for i in members]))

@@ -288,15 +288,6 @@ class ComplexKnm:
     def is_point(self):
         return not self.cells
 
-    @property
-    def point(self):
-        """The distinguished point of a degenerate complex."""
-        if self.n == 1:
-            return (self.m - 1,)
-        if self.m == 1:
-            return (0,) * self.n
-        return None
-
     def __eq__(self, other):
         # the meetings are a function of the cells, so equal cells suffice
         if not isinstance(other, ComplexKnm):

@@ -516,10 +516,6 @@ class SingComplex:
     cells: tuple
     intersections: dict = field(compare=False)  # (i, j) -> frozenset labels
 
-    def hat_cells(self):
-        """Cone version: every cell picks up the apex label '0'."""
-        return [frozenset({"0"}) | c.vertex_labels for c in self.cells]
-
 
 def build_sing_complex(n: int, k: int) -> SingComplex:
     """Cells for every prime family, glued along shared vertex labels.

@@ -60,9 +60,6 @@ class MomentPoint:
     def __iter__(self):
         return iter(self.coords)
 
-    def sum(self) -> Fraction:
-        return sum(self.coords, Fraction(0))
-
 
 def moment_grass(p: PluckerVector) -> MomentPoint:
     """Weighted average of indicator vectors: sum |q_A|^2 e_A / sum |q_A|^2."""

@@ -300,6 +300,9 @@ def test_verify_reports_a_broken_gluing(capsys, monkeypatch):
 
 PUNCTUAL_GRID = [["count", "--punctual", "-n", str(n), "-m", str(m)]
                  for n in range(1, 6) for m in range(2, 7)]
+STRATA_GRID = [["components", "-n", str(n), "-m", str(m), "--mprime", str(p)]
+               for n in range(3, 7) for m in range(2, 8)
+               for p in range(2, min(m, n - 1) + 1)]
 
 # sha256 of the concatenated outputs of each command list; a change to a
 # listing or a count on purpose changes it
@@ -318,6 +321,13 @@ PINNED_OUTPUTS = {
                                  "--mprime", "3", "--json"]],
                                "c819cb720e6ac6246a2ec84da038f27d30646e3e64c5"
                                "dd20e86e001bef77fd32"),
+    "components-mprime-grid": (STRATA_GRID,
+                               "23fe38e69fc79e8fc80b1001b7b7ce57e6ef3afff702"
+                               "856338569bc99b6da1d2"),
+    "components-mprime-grid-json": ([argv + ["--json"]
+                                     for argv in STRATA_GRID],
+                                    "5a7c40d1e213a8547e17b0bc169628617e70a29"
+                                    "d2672ae26cb5c7150c57498bf"),
     "count-punctual": (PUNCTUAL_GRID,
                        "100d8b2975d755524124c634be81f740d9eefabccf5e29d5ab62"
                        "0534bf4cf999"),
@@ -350,6 +360,18 @@ def test_components_strata_listing(capsys):
                            "--mprime", "2", "--json"])
     data = json.loads(out)
     assert [r["component_count"] for r in data["strata"]] == [1, 3, 6]
+
+
+def test_strata_are_counted_without_intersecting(capsys, monkeypatch):
+    def refuse(c1, c2):
+        raise AssertionError("strata need no pairwise intersections")
+    monkeypatch.setattr(hilbfold.components, "intersect_components", refuse)
+    rc, out = run(capsys, ["components", "-n", "5", "-m", "6",
+                           "--mprime", "2", "--json"])
+    assert rc == 0
+    data = json.loads(out)
+    assert [r["component_count"] for r in data["strata"]] == [1, 5, 15, 35,
+                                                              70]
 
 
 def test_local_with_degree_vector(capsys):
@@ -407,6 +429,22 @@ def test_off_format_for_square():
     lines = text.splitlines()
     assert lines[0] == "nOFF" and lines[1] == "2"
     assert lines[2] == "4 4 0"
+    for k in range(2, 6):
+        lines = polytope_to_off(toric_polytope(k)).splitlines()
+        if lines[0] == "OFF":
+            dim, lines = 3, lines[1:]
+        else:
+            assert lines[0] == "nOFF"
+            dim, lines = int(lines[1]), lines[2:]
+        assert dim == k
+        nv, nf, _ = map(int, lines[0].split())
+        assert len(lines) == 1 + nv + nf
+        for row in lines[1:1 + nv]:
+            assert len(row.split()) == dim, (k, row)
+        for row in lines[1 + nv:]:
+            size, *members = map(int, row.split())
+            assert size == len(members) >= dim
+            assert all(0 <= i < nv for i in members)
 
 
 # -- rejected input ---------------------------------------------------------------
@@ -442,6 +480,7 @@ def test_flags_of_other_verbs_are_rejected(argv, capsys):
     ["components", "-n", "3", "-m", "3", "--mprime", "1"],
     ["local", "-n", "3", "-k", "2", "--format", "off", "--u", "3,2,1"],
     ["local", "-n", "3", "-k", "2", "--format", "off", "--json"],
+    ["components", "-n", "3", "-m", "3", "--mprime", "2", "--global"],
 ])
 def test_out_of_range_parameters_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -4,13 +4,12 @@ from math import comb
 
 import pytest
 
-from hilbfold.components import (GrassComponent, build_gluing_graph,
-                                 curve_count, global_components, global_count,
+from hilbfold.components import (GrassComponent, curve_count,
+                                 global_components, global_count,
                                  intersect_components, multi_sing_count,
-                                 normalization_fiber_degree, phi_shift,
                                  punctual_components, punctual_count,
-                                 restricted_gluing_graph, stratum_descriptor)
-from hilbfold.foldring import FoldRingCtx, normalize_punctual
+                                 stratum_descriptor)
+from hilbfold.foldring import FoldRingCtx, PunctualIdeal, normalize_punctual
 from hilbfold.hypercomplex import build_complex
 from hilbfold.moment import moment_global
 from conftest import generic_full_rank, ideal_from_matrix, rng_for
@@ -74,7 +73,15 @@ def test_component_cell_dictionary():
             assert {c.cell for c in comps} == cells
 
 
-# -- intersections and the gluing graph ------------------------------------------
+# -- intersections ---------------------------------------------------------------
+
+def meeting_pairs(n, m):
+    """(a, b, descriptor) for each pair of punctual components that meet."""
+    for a, b in itertools.combinations(punctual_components(n, m), 2):
+        desc = intersect_components(a, b)
+        if desc is not None:
+            yield a, b, desc
+
 
 def test_intersect_consecutive_nodal_components():
     m = 5
@@ -116,34 +123,32 @@ def test_all_ones_difference_cannot_occur():
 
 
 def test_gluing_graph_3_3():
-    g = build_gluing_graph(3, 3)
-    assert len(g.nodes) == 4
-    plane = [c for c in g.nodes if c.l == 1][0]
-    line_edges = [d for (i, j), d in g.edges.items()
-                  if plane in (g.nodes[i], g.nodes[j])]
+    comps = punctual_components(3, 3)
+    assert len(comps) == 4
+    plane = [c for c in comps if c.l == 1][0]
+    line_edges = [d for a, b, d in meeting_pairs(3, 3) if plane in (a, b)]
     # the simplex component meets each of the three others in a line
     assert len(line_edges) == 3
     assert all((d.gr_l, d.gr_n) == (1, 2) for d in line_edges)
 
 
 def test_gluing_graph_nodal_is_a_path():
-    g = build_gluing_graph(2, 6)
-    assert len(g.nodes) == 5
-    assert len(g.edges) == 4
+    assert len(punctual_components(2, 6)) == 5
+    edges = [(a, b) for a, b, _ in meeting_pairs(2, 6)]
+    assert len(edges) == 4
     degrees = {}
-    for i, j in g.edges:
-        degrees[i] = degrees.get(i, 0) + 1
-        degrees[j] = degrees.get(j, 0) + 1
+    for a, b in edges:
+        degrees[a] = degrees.get(a, 0) + 1
+        degrees[b] = degrees.get(b, 0) + 1
     assert sorted(degrees.values()) == [1, 1, 2, 2, 2]
 
 
 def test_gluing_graph_4_3():
-    g = build_gluing_graph(4, 3)
-    big = [c for c in g.nodes if c.l == 2]
-    small = [c for c in g.nodes if c.l == 3]
+    comps = punctual_components(4, 3)
+    big = [c for c in comps if c.l == 2]
+    small = [c for c in comps if c.l == 3]
     assert len(big) == 1 and len(small) == 4
-    cross = [d for (i, j), d in g.edges.items()
-             if {g.nodes[i].l, g.nodes[j].l} == {2, 3}]
+    cross = [d for a, b, d in meeting_pairs(4, 3) if {a.l, b.l} == {2, 3}]
     assert len(cross) == 4
     assert all((d.gr_l, d.gr_n) == (2, 3) for d in cross)
 
@@ -151,13 +156,11 @@ def test_gluing_graph_4_3():
 def test_graph_edges_match_complex_adjacency():
     for n in range(2, 5):
         for m in range(2, 6):
-            g = build_gluing_graph(n, m)
             K = build_complex(n, m)
             cell_index = {c: i for i, c in enumerate(K.cells)}
             mapped = set()
-            for (i, j) in g.edges:
-                a = cell_index[g.nodes[i].cell]
-                b = cell_index[g.nodes[j].cell]
+            for c1, c2, _ in meeting_pairs(n, m):
+                a, b = cell_index[c1.cell], cell_index[c2.cell]
                 mapped.add((min(a, b), max(a, b)))
             assert mapped == {(i, j) for i, j, _, _ in K.meetings()}
 
@@ -229,27 +232,9 @@ def _all_ones_ideal(rng, n, l):
                              generic_full_rank(rng, l, n))
 
 
-def test_phi_shift_zero_is_identity():
-    rng = rng_for("phi-identity")
-    ideal = _all_ones_ideal(rng, 3, 2)
-    assert phi_shift(ideal, (0, 0, 0)) == ideal
-
-
-def test_phi_shift_example():
-    ctx = FoldRingCtx(3)
-    gens = [ctx.axis_monomial(0, 1) + ctx.axis_monomial(1, 1)
-            + ctx.axis_monomial(2, 1),
-            ctx.axis_monomial(0, 1) + ctx.axis_monomial(2, 1, -1)]
-    ideal = normalize_punctual(ctx, gens)
-    assert ideal.colength() == 2
-    shifted = phi_shift(ideal, (1, 0, 0))
-    assert shifted.colength() == 3
-    assert shifted.u == (2, 1, 1)
-    again = normalize_punctual(ctx, shifted.generators())
-    assert again == shifted
-
-
-def test_phi_shift_moment_commutes():
+def test_degree_shift_moment_commutes():
+    """Raising the degree vector of an all-ones presentation by `extra`
+    (x_i -> x_i^{extra_i + 1}) translates its moment image by `extra`."""
     rng = rng_for("phi-moment")
     done = 0
     while done < 100:
@@ -257,19 +242,13 @@ def test_phi_shift_moment_commutes():
         l = rng.randint(1, n - 1)
         ideal = _all_ones_ideal(rng, n, l)
         extra = tuple(rng.randint(0, 2) for _ in range(n))
+        shifted = PunctualIdeal(ideal.ctx, l, tuple(1 + e for e in extra),
+                                ideal.matrix)
         mu = moment_global(ideal)
-        mu2 = moment_global(phi_shift(ideal, extra))
+        mu2 = moment_global(shifted)
         assert tuple(mu2.coords) == tuple(a + e for a, e in
                                           zip(mu.coords, extra))
         done += 1
-
-
-def test_phi_shift_needs_all_ones():
-    rng = rng_for("phi-bad")
-    ideal = ideal_from_matrix(FoldRingCtx(3), (2, 1, 1),
-                              generic_full_rank(rng, 2, 3))
-    with pytest.raises(ValueError):
-        phi_shift(ideal, (1, 0, 0))
 
 
 # -- strata and normalization fibers ----------------------------------------------------
@@ -278,7 +257,7 @@ def test_stratum_example_3_2_1():
     sd = stratum_descriptor(3, 3, 2, 1)
     assert sd.sym_degree == 0
     assert sd.component_count == 3
-    assert all(c.l == 2 for c in sd.subgraph.nodes)
+    assert (sd.l, sd.local_length) == (2, 3)
 
 
 def test_stratum_example_4_2_2():
@@ -290,22 +269,29 @@ def test_stratum_open_level():
     sd = stratum_descriptor(4, 5, 3, 0)
     assert sd.component_count == 1
     assert sd.sym_degree == 2
-    assert len(sd.subgraph.nodes) == 1 and not sd.subgraph.edges
+    assert (sd.l, sd.local_length) == (2, 3)
 
 
 def test_restricted_graph_sizes():
     # six planes glued through points vs three glued at one point
-    g = restricted_gluing_graph(3, 4, 2)
-    assert len(g.nodes) == 6
-    g2 = restricted_gluing_graph(3, 4, 1)
-    assert len(g2.nodes) == 3
+    comps = punctual_components(3, 4)
+    assert sum(1 for c in comps if c.l == 2) == 6
+    assert sum(1 for c in comps if c.l == 1) == 3
+
+
+def fiber_degree(ideal, mprime):
+    """Cells of K(n, m) with l = mprime - 1 that hold the ideal's moment
+    image: the degree of the normalization fiber over it."""
+    K = build_complex(ideal.n, ideal.colength())
+    return sum(1 for c in K.cells_containing(moment_global(ideal).coords)
+               if c.l == mprime - 1)
 
 
 def test_fiber_degree_interior():
     rng = rng_for("fiber-interior")
     ctx = FoldRingCtx(3)
     ideal = ideal_from_matrix(ctx, (1, 1, 1), generic_full_rank(rng, 2, 3))
-    assert normalization_fiber_degree(ideal, 2) == 1
+    assert fiber_degree(ideal, 2) == 1
 
 
 def test_fiber_degree_gluing_vertex():
@@ -314,7 +300,7 @@ def test_fiber_degree_gluing_vertex():
                                      ctx.axis_monomial(1, 2),
                                      ctx.axis_monomial(2, 1)])
     assert ideal.colength() == 4
-    assert normalization_fiber_degree(ideal, 2) == 2
+    assert fiber_degree(ideal, 2) == 2
 
 
 def test_fiber_degree_center_vertex():
@@ -323,4 +309,4 @@ def test_fiber_degree_center_vertex():
                                      ctx.axis_monomial(1, 2),
                                      ctx.axis_monomial(2, 2)])
     assert ideal.colength() == 4
-    assert normalization_fiber_degree(ideal, 3) == 3
+    assert fiber_degree(ideal, 3) == 3

@@ -46,7 +46,6 @@ def test_cell_count_formula_grid():
 def test_degenerate_complexes():
     for K in (build_complex(3, 1), build_complex(1, 5)):
         assert K.is_point
-        assert K.point is not None
         assert volume_check(K)
 
 

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, the
 function-level imports are the listed ones, every module-level private
-function or class is used by the package, one function builds the
-hypersimplicial complex and one builds generator lists."""
+function or class is used by the package, the public definitions that only
+tests call are the listed ones, one function builds the hypersimplicial
+complex and one builds generator lists."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,8 @@ import hilbfold
 
 MODULES = sorted(p for p in Path(hilbfold.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+PERFBENCH = sorted(p for p in (Path(__file__).parents[1] / "perfbench")
+                   .glob("*.py") if not p.name.startswith("test_"))
 
 
 def unused_imports(source: str):
@@ -79,15 +82,87 @@ def private_definitions(sources):
             and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
 
 
-def orphaned_privates(sources):
-    """Private definitions that no other module-level statement of the
-    sources reads, accesses as an attribute or imports."""
+def used_names(sources):
+    """Names that the module-level statements of the sources read, access
+    as an attribute or import, each statement apart from its own name."""
     used = set()
     for source in sources:
         for stmt in ast.parse(source).body:
             own = getattr(stmt, "name", None)
             used |= {_referenced(node) for node in ast.walk(stmt)} - {own}
+    return used
+
+
+def orphaned_privates(sources):
+    """Private definitions that no other module-level statement of the
+    sources reads, accesses as an attribute or imports."""
+    used = used_names(sources)
     return [name for name in private_definitions(sources) if name not in used]
+
+
+def public_definitions(source: str):
+    """The public module-level functions and classes of a source, and the
+    public methods of those classes as 'Class.method'."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) or stmt.name.startswith("_"):
+            continue
+        found.append(stmt.name)
+        if isinstance(stmt, ast.ClassDef):
+            found += [f"{stmt.name}.{f.name}" for f in stmt.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not f.name.startswith("_")]
+    return found
+
+
+def uncalled_publics(sources, callers):
+    """Public definitions of the sources whose name neither the sources
+    (apart from the definition itself) nor the callers use.
+
+    The check works by name: a method counts as used when any name or
+    attribute anywhere has its name, so members whose names are used for
+    other things, such as `dimension`, `point` or `zeros`, stay hidden."""
+    used = used_names(list(sources) + list(callers))
+    return [name for source in sources for name in public_definitions(source)
+            if name.split(".")[-1] not in used]
+
+
+# public definition -> why it stays although only tests call it
+TEST_ONLY_PUBLICS = {
+    "intersect_components":
+        "paper claim waiting for a verify row (ROADMAP item 4): how two "
+        "punctual components meet; tests compare it with K.meetings()",
+    "intersect_cells":
+        "test reference: the pairwise cell intersection that K.meetings() "
+        "is compared against",
+    "ComplexKnm.all_faces":
+        "test reference: every face of K(n, m), for checking the face "
+        "criteria over a whole complex",
+    "is_singular_face":
+        "paper claim waiting for a verify row (ROADMAP item 4): which faces "
+        "of K(n, m) are singular",
+    "cells_at_vertex":
+        "paper claim waiting for a verify row (ROADMAP item 4): the cells "
+        "at a vertex, counted and compared with 2^k - 1 or 2^k - 2",
+    "volume_check":
+        "paper claim waiting for a verify row (ROADMAP item 4): the cell "
+        "volumes fill the dilated simplex",
+    "pairwise_incomparable":
+        "paper claim waiting for a verify row (ROADMAP item 4): no local "
+        "prime contains another",
+    "unimodular_triangulation":
+        "paper claim waiting for a verify row (ROADMAP item 4): the chain "
+        "polytope triangulates unimodularly",
+    "expected_intersection_labels":
+        "paper claim waiting for a verify row (ROADMAP item 4): the "
+        "predicted shared faces that build_sing_complex is compared with",
+    "plucker_of":
+        "moment API: the only public way to get the PluckerVector that "
+        "moment_grass takes",
+    "GaussRational.conjugate": "scalar API",
+    "ExactMatrix.identity": "matrix API",
+}
 
 
 def callers_of(source: str, name: str):
@@ -145,6 +220,24 @@ def test_no_orphaned_private_definitions():
     sources = [p.read_text() for p in package]
     assert len(private_definitions(sources)) > 40
     assert orphaned_privates(sources) == []
+
+
+def test_uncalled_public_is_found():
+    sources = ["def kept(): pass\ndef gone(): return gone()\n"
+               "class Spare:\n    def used(self): pass\n"
+               "    def unused(self): pass\n    def __len__(self): pass\n"
+               "def _private(): pass\n",
+               "from m import kept\n"]
+    callers = ["Spare().used()\n"]
+    assert uncalled_publics(sources, callers) == ["gone", "Spare.unused"]
+
+
+def test_only_listed_publics_are_called_by_tests_alone():
+    sources = [p.read_text() for p in MODULES]
+    callers = [p.read_text() for p in PERFBENCH]
+    assert len(callers) >= 3
+    assert sorted(uncalled_publics(sources, callers)) == \
+        sorted(TEST_ONLY_PUBLICS)
 
 
 def test_callers_are_found():

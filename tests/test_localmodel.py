@@ -382,8 +382,8 @@ def test_sing_complex_3_1_recipe():
     cells = {c.label: sorted(c.vertex_labels) for c in sc.cells}
     assert cells == {"D0": ["a2", "a3"], "M1": ["A1", "a1_1"],
                      "M2": ["a1_1", "a2"], "M3": ["a1_1", "a3"]}
-    hat = sc.hat_cells()
-    assert all(len(c) == 3 for c in hat)  # triangles after coning
+    # segments: triangles once coned over the apex
+    assert all(len(c.vertex_labels) == 2 for c in sc.cells)
 
 
 def test_sing_complex_intersection_dictionary():
