@@ -9,8 +9,8 @@ from .hypercomplex import (ComplexKnm, Face, HyperCell, build_complex,
                            cells_at_vertex, faces_of, intersect_cells,
                            is_singular_face, is_smoothable_face,
                            normalized_volume, slice_complex, volume_check)
-from .moment import (MomentPoint, PluckerVector, locate, moment_component,
-                     moment_global, moment_grass, plucker_of)
+from .moment import (MomentPoint, PluckerVector, locate, moment_global,
+                     moment_grass, plucker_of)
 from .components import (GlobalComponent, GrassComponent, curve_count,
                          global_components, global_count,
                          intersect_components, multi_sing_count,

@@ -1,9 +1,9 @@
 """Irreducible components: punctual strata, global components, and how
 two punctual components meet.
 
-Counting is always done by direct enumeration; the closed forms are
-evaluated alongside and compared, never trusted (one of them is provably
-wrong at small parameters, and the comparison records that).
+Each count is checked against a count of the compositions that index the
+components; the advertised closed form is compared, never trusted (it is
+provably wrong at small parameters, and the comparison records that).
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import comb
 
 from .foldring import InternalDiagnosticError
-from .hypercomplex import HyperCell, compositions, count_maximal_cells, kappa
+from .hypercomplex import (HyperCell, compositions, count_maximal_cells, kappa,
+                           lattice_point_count)
 
 
 def positive_compositions(total, parts):
@@ -65,7 +66,7 @@ def punctual_components(n: int, m: int):
 
 @dataclass(frozen=True)
 class CountComparison:
-    value: int              # authoritative, by enumeration
+    value: int              # authoritative, counted two ways
     closed_form: Fraction   # the advertised formula
     matches: bool
 
@@ -81,14 +82,16 @@ def punctual_count(n: int, m: int) -> CountComparison:
         return CountComparison(1, Fraction(1), True)
     # each component's moment image is one cell of K(n, m) (see .cell)
     value = count_maximal_cells(n, m)
+    # l rows: one component per positive composition of m + l - 1 into n
+    direct = sum(lattice_point_count(n, 1, m + l - 1 - n)
+                 for l in range(max(1, n + 1 - m), n))
+    if direct != value:
+        raise InternalDiagnosticError(
+            "composition count disagrees with the summed count")
     if n >= m:
         closed = Fraction(m - 1, n) * comb(m + n - 2, n - 1)
     else:
         closed = (Fraction(m - 1, n) + Fraction(n - m, n)) * comb(m + n - 2, n - 1)
-    direct = len(punctual_components(n, m))
-    if direct != value:
-        raise InternalDiagnosticError(
-            "enumeration disagrees with the summed count")
     return CountComparison(value, closed, closed == value)
 
 
@@ -156,13 +159,16 @@ def global_components(n: int, m: int):
 
 
 def global_count(n: int, m: int) -> int:
-    """Count of global components; formula and enumeration must agree."""
-    formula = comb(m + n - 1, m) + sum(comb(m - mp + n - 1, m - mp)
-                                       for mp in range(2, min(m, n - 1) + 1))
-    direct = len(global_components(n, m))
+    """Count of global components; formula and composition count agree."""
+    if n < 1 or m < 1:
+        raise ValueError("need n >= 1 and m >= 1")
+    # points distributed over the axes: m, or m - mprime per nonsmoothable
+    free = [m] + [m - mp for mp in range(2, min(m, n - 1) + 1)]
+    formula = sum(comb(t + n - 1, t) for t in free)
+    direct = sum(lattice_point_count(n, 1, t) for t in free)
     if formula != direct:
         raise InternalDiagnosticError(
-            f"global component formula {formula} != enumeration {direct}")
+            f"global formula {formula} != composition count {direct}")
     return direct
 
 
@@ -170,11 +176,15 @@ def curve_count(n: int, m: int) -> int:
     """Components of the length-m Hilbert scheme of an irreducible curve
     with one rational n-fold singularity: the count plateaus at n - 1.
 
-    A closed form only: no second route computes this count (ROADMAP
-    item 4), unlike the punctual and global counts."""
+    Checked against the brute-force count of the admissible local lengths
+    of the one singularity."""
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    return min(n - 1, m)
+    value = min(n - 1, m)
+    if multi_sing_count(1, m, (n,)).brute != value:
+        raise InternalDiagnosticError(
+            "curve component count disagrees with the brute-force count")
+    return value
 
 
 @dataclass(frozen=True)
@@ -241,7 +251,8 @@ def stratum_descriptor(n: int, m: int, mprime: int, u_level: int) -> StratumDesc
     l = n + 1 - mprime
     local = mprime + u_level
     count = comb(u_level + n - 1, n - 1)
-    if sum(1 for _ in positive_compositions(local + l - 1, n)) != count:
+    # degree vectors: positive compositions of local + l - 1 = u_level + n
+    if lattice_point_count(n, 1, u_level) != count:
         raise InternalDiagnosticError(
             "stratum component count disagrees with C(u+n-1, n-1)")
     return StratumDescriptor(m - mprime - u_level, local, l, count)

@@ -462,24 +462,26 @@ def polytope_lattice_volume(p: PolytopePk) -> int:
     coords = [pt for _, pt in p.vertices]
     k = p.k
     planes = list(_enumerate_facets(p.vertices).values())
+    # a facet inequality is tested once its last nonzero coordinate is set
+    due = [[] for _ in range(k)]
+    for j, (normal, _) in enumerate(planes):
+        due[max(i for i, a in enumerate(normal) if a)].append(j)
 
-    import numpy as np
-
-    normals = np.asarray([nrm for nrm, _ in planes], dtype=np.int64)
-    offsets = np.asarray([off for _, off in planes], dtype=np.int64)
-
-    def count(t):
-        if t == 0:
+    def count(t, i, partial):
+        """Lattice points of t*P whose first i coordinates give the facet
+        sums partial."""
+        if i == k:
             return 1
-        axes = [np.arange(min(c[i] for c in coords) * t,
-                          max(c[i] for c in coords) * t + 1, dtype=np.int64)
-                for i in range(k)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        pts = grid.reshape(-1, k)
-        ok = (pts @ normals.T >= offsets * t).all(axis=1)
-        return int(ok.sum())
+        total = 0
+        for x in range(min(c[i] for c in coords) * t,
+                       max(c[i] for c in coords) * t + 1):
+            sums = [s + normal[i] * x
+                    for s, (normal, _) in zip(partial, planes)]
+            if all(sums[j] >= planes[j][1] * t for j in due[i]):
+                total += count(t, i + 1, sums)
+        return total
 
-    values = [count(t) for t in range(k + 1)]
+    values = [count(t, 0, [0] * len(planes)) for t in range(k + 1)]
     return sum((-1) ** (k - j) * comb(k, j) * values[j] for j in range(k + 1))
 
 

@@ -83,13 +83,6 @@ def _moment_of_presentation(n, l, u, matrix: ExactMatrix) -> MomentPoint:
     return MomentPoint(tuple(u[i] - c for i, c in enumerate(grass)))
 
 
-def moment_component(ideal: PunctualIdeal, m: int | None = None) -> MomentPoint:
-    """Moment image computed on the ideal's own presentation."""
-    if m is not None and ideal.colength() != m:
-        raise ValueError(f"colength is {ideal.colength()}, not {m}")
-    return _moment_of_presentation(ideal.n, ideal.l, ideal.u, ideal.matrix)
-
-
 def containing_presentations(ideal: PunctualIdeal):
     """All (l, u, matrix) presentations of the ideal inside the genuine
     component strata: a pure-power row x_i^{u_i} with u_i >= 2 may be
@@ -123,7 +116,8 @@ def moment_global(ideal: PunctualIdeal, m: int | None = None) -> MomentPoint:
               for l2, u2, mat in containing_presentations(ideal)]
     if not values:
         # only the full stratum presentation exists (e.g. the maximal ideal)
-        return moment_component(ideal)
+        return _moment_of_presentation(ideal.n, ideal.l, ideal.u,
+                                       ideal.matrix)
     first = values[0]
     for other in values[1:]:
         if other.coords != first.coords:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -291,11 +292,9 @@ def test_verify_reports_a_broken_gluing(capsys, monkeypatch):
     monkeypatch.setattr(moment, "_moment_of_presentation", shifted)
     with pytest.raises(InternalDiagnosticError):
         moment.gluing_consistency_sweep(10, seed=0)
-    row = "FAIL  moment gluing sweep seed=0"
-    for argv, code in [(["verify", "--field-prime", "2", "--strict"], 3),
-                       (["verify", "--field-prime", "2"], 0)]:
-        rc, out = run(capsys, argv)
-        assert rc == code and row in out.splitlines()
+    rc, out = run(capsys, ["verify", "--field-prime", "2"])
+    assert rc == 3
+    assert "FAIL  moment gluing sweep seed=0" in out.splitlines()
 
 
 PUNCTUAL_GRID = [["count", "--punctual", "-n", str(n), "-m", str(m)]
@@ -349,10 +348,15 @@ def test_listing_and_count_outputs_are_pinned(name, capsys):
 
 
 def test_strict_turns_flagged_mismatch_into_failure(capsys):
-    assert main(["count", "--punctual", "-n", "2", "-m", "3"]) == 0
-    capsys.readouterr()
-    assert main(["count", "--punctual", "-n", "2", "-m", "3",
-                 "--strict"]) == 3
+    """The punctual closed form is the advertised formula, not a second
+    route to the count: its mismatch is flagged at exit 0, and there is no
+    flag that turns it into a failure."""
+    rc, out = run(capsys, ["count", "-n", "2", "-m", "3"])
+    assert rc == 0 and out.startswith("2  [closed form ")
+    assert "disagrees]" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "-n", "2", "-m", "3", "--strict"])
+    assert exc.value.code == 2
 
 
 def test_components_strata_listing(capsys):
@@ -488,6 +492,15 @@ def test_out_of_range_parameters_exit_2(argv, capsys):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_every_flag_is_read_by_a_verb():
+    from hilbfold import cli
+    read = set()
+    for _, _, flags, required in cli.VERBS.values():
+        assert set(required) <= set(flags)
+        read.update(flags)
+    assert set(cli.FLAGS) == read
+
+
 def test_count_rejects_two_mode_flags(capsys):
     assert main(["count", "--curve", "--global", "-n", "3", "-m", "3"]) == 2
     captured = capsys.readouterr()
@@ -536,6 +549,66 @@ def test_punctual_count_disagreement_exits_3(capsys, monkeypatch):
     assert not captured.out
     assert captured.err.startswith("internal diagnostic failure: ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_counts_do_not_list_components(capsys, monkeypatch):
+    from hilbfold import components
+
+    def refuse(*args):
+        raise AssertionError("a count lists no components")
+    for name in ("punctual_components", "global_components",
+                 "positive_compositions"):
+        monkeypatch.setattr(components, name, refuse)
+    assert run(capsys, ["count", "-n", "9", "-m", "9"]) == (0, "11440\n")
+    assert run(capsys, ["count", "--global", "-n", "10", "-m", "14"]) == (
+        0, "1462835\n")
+    rc, out = run(capsys, ["components", "-n", "8", "-m", "12",
+                           "--mprime", "2", "--json"])
+    assert rc == 0
+    assert [r["component_count"] for r in json.loads(out)["strata"]] == [
+        math.comb(u + 7, 7) for u in range(11)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-n", "4", "-m", "5"],
+    ["count", "--global", "-n", "4", "-m", "5"],
+    ["components", "-n", "4", "-m", "5", "--mprime", "2"],
+])
+def test_composition_count_disagreement_exits_3(argv, capsys, monkeypatch):
+    from hilbfold import components
+    original = components.lattice_point_count
+    monkeypatch.setattr(components, "lattice_point_count",
+                        lambda n, l, t: original(n, l, t) + 1)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("internal diagnostic failure: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_curve_count_disagreement_exits_3(capsys, monkeypatch):
+    from hilbfold import components
+    original = components.multi_sing_count
+
+    def off_by_one(k, m, ns):
+        res = original(k, m, ns)
+        return components.MultiSingCount(res.brute + 1, res.formula,
+                                         res.matches, res.vectors)
+    monkeypatch.setattr(components, "multi_sing_count", off_by_one)
+    assert main(["count", "--curve", "-n", "4", "-m", "5"]) == 3
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("internal diagnostic failure: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_multi_count_mismatch_exits_3(capsys, monkeypatch):
+    from hilbfold import components
+    original = components._chi
+    monkeypatch.setattr(components, "_chi",
+                        lambda j, budget, caps: original(j, budget, caps) + 1)
+    rc, out = run(capsys, ["count", "--multi", "3,3", "-m", "4"])
+    assert rc == 3 and "match=False" in out
 
 
 def test_cross_check_disagreement_exits_3(capsys, tmp_path, monkeypatch):

@@ -57,8 +57,6 @@ FUNCTION_IMPORTS = {
         "import cycle: hypercomplex imports foldring",
     ("foldring.py", "is_smoothable", ".moment"):
         "import cycle: moment imports foldring",
-    ("localmodel.py", "polytope_lattice_volume", "numpy"):
-        "numpy stays local to its one caller outside ffield (ROADMAP item 7)",
 }
 
 
